@@ -57,7 +57,6 @@ def amp_run(
     K: int,
     keep_history: bool = False,
     z_clamp: float = Z_CLAMP,
-    z_init: np.ndarray | None = None,
 ) -> list[AmpState]:
     """Run K iterations from the zero initialization.
 
@@ -67,10 +66,6 @@ def amp_run(
     bounding memory; keep_history=True retains all K states for the
     state-evolution diagnostics.  Non-finite iterates raise, naming the
     iteration.
-
-    `z_init` warm-starts the iteration at z^0 = z_init (with m^{-1} =
-    tanh(z_init)); this deviates from the canonical zero start and exists
-    only for the sampler's non-canonical warm-start mode.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -83,14 +78,8 @@ def amp_run(
     def _squeeze(a):
         return a[0] if single else a
 
-    M = Y.shape[0]
-    if z_init is None:
-        m_prev = np.zeros_like(Y)  # m^{-1}
-        m = np.zeros_like(Y)  # m^0 = tanh(z^0) = 0
-    else:
-        z0 = np.broadcast_to(np.asarray(z_init, dtype=float), Y.shape)
-        m = np.tanh(z0)
-        m_prev = m.copy()
+    m_prev = np.zeros_like(Y)  # m^{-1}
+    m = np.zeros_like(Y)  # m^0 = tanh(z^0) = 0
     b = np.atleast_1d(onsager(g.spec, beta, np.mean(m**2, axis=-1)))
     states: list[AmpState] = []
     for k in range(1, K + 1):

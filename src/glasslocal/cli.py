@@ -6,9 +6,9 @@ runs, and writes CSV/JSON results.  When a result goes to a file, the fully
 resolved config is echoed to `<out>.config.json` so the run can be
 reproduced byte-for-byte.  Floats are written with 17 significant digits.
 
-Replica/seed parallelism is controlled by --threads (fallback: the
-GLASSLOCAL_THREADS environment variable); results never depend on the
-thread count.
+Everything runs serially in one process; the only parallelism is inside BLAS
+(set its thread count with e.g. OPENBLAS_NUM_THREADS).  Results are
+byte-identical across reruns and from the echoed config.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -43,7 +41,9 @@ from .validate import run_validation
 
 __all__ = ["main"]
 
-#: Replicas are processed in fixed batches of this size (see _cmd_sample).
+#: Replicas are processed in fixed batches of this size.  The chunk bounds the
+#: memory of one sampler call and pins the batch shape, hence the BLAS
+#: reduction order and the bytes written, whatever the replica count.
 REPLICA_CHUNK = 64
 
 
@@ -94,18 +94,16 @@ def _planted_x(cfg: dict) -> np.ndarray:
     return np.where(u < 0.5, -1.0, 1.0)
 
 
-def _threads(cfg: dict, args) -> int:
-    if args.threads is not None:
-        return args.threads
-    if "threads" in cfg and cfg["threads"]:
-        return cfg["threads"]
-    return int(os.environ.get("GLASSLOCAL_THREADS", "1"))
+def _sampler_params(cfg: dict) -> SamplerParams:
+    """Every `sampler` key except `replicas` is a SamplerParams field."""
+    sp = {k: v for k, v in cfg["sampler"].items() if k != "replicas"}
+    return SamplerParams(beta=cfg["beta"], seed=cfg["seed"], **sp)
 
 
 # --- subcommand handlers -----------------------------------------------------
 
 
-def _cmd_gen_disorder(cfg: dict, args) -> None:
+def _cmd_gen_disorder(cfg: dict) -> None:
     if not cfg.get("out"):
         raise ConfigError("config field 'out': gen-disorder requires an output path")
     g = _load_tensors(cfg)
@@ -114,13 +112,13 @@ def _cmd_gen_disorder(cfg: dict, args) -> None:
         f.write(dump_config(cfg))
 
 
-def _cmd_thresholds(cfg: dict, args) -> None:
+def _cmd_thresholds(cfg: dict) -> None:
     spec = MixtureSpec.from_dict(cfg["mixture"])
     rep = thresholds(spec, c0=cfg["thresholds"]["c0"], dyn_ceiling=cfg["thresholds"]["dyn_ceiling"])
     _write_result(cfg.get("out"), json.dumps(rep.to_dict(), indent=2, sort_keys=True) + "\n", cfg)
 
 
-def _cmd_se(cfg: dict, args) -> None:
+def _cmd_se(cfg: dict) -> None:
     spec = MixtureSpec.from_dict(cfg["mixture"])
     beta = cfg["beta"]
     ts = np.arange(0.0, cfg["se"]["t_max"] + cfg["se"]["t_step"] / 2, cfg["se"]["t_step"])
@@ -133,7 +131,7 @@ def _cmd_se(cfg: dict, args) -> None:
     _write_result(cfg.get("out"), _csv(["t", "q_star", "psi_star", "mmse"], rows), cfg)
 
 
-def _cmd_amp(cfg: dict, args) -> None:
+def _cmd_amp(cfg: dict) -> None:
     spec = MixtureSpec.from_dict(cfg["mixture"])
     beta, t, K = cfg["beta"], cfg["amp"]["t"], cfg["amp"]["k"]
     if cfg["amp"]["planted"] and not cfg.get("tensor_file"):
@@ -156,7 +154,7 @@ def _cmd_amp(cfg: dict, args) -> None:
     _write_result(cfg.get("out"), _csv(header, rows), cfg)
 
 
-def _cmd_tap(cfg: dict, args) -> None:
+def _cmd_tap(cfg: dict) -> None:
     spec = MixtureSpec.from_dict(cfg["mixture"])
     beta, t = cfg["beta"], cfg["tap"]["t"]
     g = _load_tensors(cfg)
@@ -172,10 +170,11 @@ def _cmd_tap(cfg: dict, args) -> None:
     else:
         m = np.zeros(g.n)
     params = TapParams(beta=beta, q=cfg["tap"]["q"], gamma_reg=cfg["tap"]["gamma"], y=y)
+    grad_norm = np.linalg.norm(ftap_grad(g, m, params))
     report = {
         "ftap_value": ftap_value(g, m, params),
-        "grad_norm": float(np.linalg.norm(ftap_grad(g, m, params))),
-        "grad_norm_per_sqrt_n": float(np.linalg.norm(ftap_grad(g, m, params)) / math.sqrt(g.n)),
+        "grad_norm": float(grad_norm),
+        "grad_norm_per_sqrt_n": float(grad_norm / math.sqrt(g.n)),
         "n": g.n,
         "q": cfg["tap"]["q"],
         "gamma": cfg["tap"]["gamma"],
@@ -187,62 +186,23 @@ def _cmd_tap(cfg: dict, args) -> None:
     _write_result(cfg.get("out"), json.dumps(report, indent=2, sort_keys=True) + "\n", cfg)
 
 
-def _cmd_sample(cfg: dict, args) -> None:
+def _cmd_sample(cfg: dict) -> None:
     g = _load_tensors(cfg)
-    sp = cfg["sampler"]
-    params = SamplerParams(
-        beta=cfg["beta"],
-        delta=sp["delta"],
-        L=sp["L"],
-        k_amp=sp["k_amp"],
-        k_ngd=sp["k_ngd"],
-        eta=sp["eta"],
-        gamma=sp["gamma"],
-        seed=cfg["seed"],
-        keep_trajectory=sp["keep_trajectory"],
-    )
-    n_rep = sp["replicas"]
+    params = _sampler_params(cfg)
+    n_rep = cfg["sampler"]["replicas"]
     sched = q_schedule(g.spec, params.beta, params.delta, params.L)
     if not np.all(sched.converged):
         raise RuntimeError("q schedule did not converge")
-    threads = _threads(cfg, args)
-    # fixed chunk size: replica batches keep the same shape for every thread
-    # count, so BLAS reduction order (and hence the bytes written) never
-    # depends on --threads
-    chunks = [
-        np.arange(lo, min(lo + REPLICA_CHUNK, n_rep))
-        for lo in range(0, n_rep, REPLICA_CHUNK)
-    ]
-
-    def run_chunk(idx):
-        if idx.size == 0:
-            return None
-        return sample(
-            g,
-            params,
-            n_replicas=idx.size,
-            q_values=sched.values,
-            replica_start=int(idx[0]),
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(run_chunk, chunks))
-    else:
-        results = [run_chunk(c) for c in chunks]
     rows = []
     traj_parts = []
-    r = 0
-    for res in results:
-        if res is None:
-            continue
-        mean = np.atleast_2d(res.mean_final)
+    for lo in range(0, n_rep, REPLICA_CHUNK):
+        k = min(REPLICA_CHUNK, n_rep - lo)
+        res = sample(g, params, n_replicas=k, q_values=sched.values, replica_start=lo)
         x = np.atleast_2d(res.x_alg)
         fq = np.atleast_1d(res.final_q)
         gn = np.atleast_1d(res.grad_norm_last)
-        for i in range(mean.shape[0]):
-            rows.append([r, cfg["seed"], fq[i], gn[i], _spins_to_hex(x[i])])
-            r += 1
+        for i in range(k):
+            rows.append([lo + i, cfg["seed"], fq[i], gn[i], _spins_to_hex(x[i])])
         if params.keep_trajectory:
             t = res.y_trajectory
             traj_parts.append(t[:, None, :] if t.ndim == 2 else t)
@@ -254,7 +214,7 @@ def _cmd_sample(cfg: dict, args) -> None:
             f.write(np.ascontiguousarray(traj.transpose(1, 0, 2), dtype="<f8").tobytes())
 
 
-def _cmd_exact(cfg: dict, args) -> None:
+def _cmd_exact(cfg: dict) -> None:
     g = _load_tensors(cfg)
     dist = exact_gibbs(g, cfg["beta"])
     batch = exact_sample(dist, cfg["exact"]["m_samples"], cfg["seed"])
@@ -262,7 +222,7 @@ def _cmd_exact(cfg: dict, args) -> None:
     _write_result(cfg.get("out"), _csv(["sample", "x_bits_hex"], rows), cfg)
 
 
-def _cmd_glauber(cfg: dict, args) -> None:
+def _cmd_glauber(cfg: dict) -> None:
     g = _load_tensors(cfg)
     gb = cfg["glauber"]
     x0 = np.ones(g.n)
@@ -293,72 +253,38 @@ def _read_batch(path: str) -> SampleBatch:
     return _read_batch_csv(path)
 
 
-def _cmd_w2(cfg: dict, args) -> None:
+def _cmd_w2(cfg: dict) -> None:
     a = _read_batch(cfg["w2"]["batch_a"])
     b = _read_batch(cfg["w2"]["batch_b"])
     _write_result(cfg.get("out"), _csv(["w2"], [[empirical_w2(a, b)]]), cfg)
 
 
-def _cmd_chaos(cfg: dict, args) -> None:
+def _cmd_chaos(cfg: dict) -> None:
     spec = MixtureSpec.from_dict(cfg["mixture"])
     ch = cfg["chaos"]
     seeds = [cfg["seed"] + i for i in range(ch["n_seeds"])]
-    threads = _threads(cfg, args)
-
-    def per_seed(s):
-        return chaos_experiment(
-            spec, cfg["n"], cfg["beta"], ch["s_list"], [s], batch_size=ch["batch_size"]
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(per_seed, seeds))
-    else:
-        parts = [per_seed(s) for s in seeds]
-    rows = [
-        [r["s"], r["seed"], r["overlap_moment"], r["w2"]] for part in parts for r in part
-    ]
+    rows = chaos_experiment(
+        spec, cfg["n"], cfg["beta"], ch["s_list"], seeds, batch_size=ch["batch_size"]
+    )
+    rows = [[r["s"], r["seed"], r["overlap_moment"], r["w2"]] for r in rows]
     _write_result(cfg.get("out"), _csv(["s", "seed", "overlap_moment", "w2"], rows), cfg)
 
 
-def _cmd_stability(cfg: dict, args) -> None:
+def _cmd_stability(cfg: dict) -> None:
     spec = MixtureSpec.from_dict(cfg["mixture"])
     st = cfg["stability"]
-    sp = cfg["sampler"]
-    params = SamplerParams(
-        beta=cfg["beta"],
-        delta=sp["delta"],
-        L=sp["L"],
-        k_amp=sp["k_amp"],
-        k_ngd=sp["k_ngd"],
-        eta=sp["eta"],
-        gamma=sp["gamma"],
-        seed=cfg["seed"],
-    )
     seeds = [cfg["seed"] + i for i in range(st["n_seeds"])]
-    threads = _threads(cfg, args)
-
-    def per_seed(s):
-        return stability_experiment(
-            spec, cfg["n"], cfg["beta"], st["s_list"], params, [s], n_replicas=st["replicas"]
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(per_seed, seeds))
-    else:
-        parts = [per_seed(s) for s in seeds]
-    rows = [
-        [r["s"], r["seed"], r["spin_distance"], r["mean_distance"]]
-        for part in parts
-        for r in part
-    ]
+    rows = stability_experiment(
+        spec, cfg["n"], cfg["beta"], st["s_list"], _sampler_params(cfg), seeds,
+        n_replicas=st["replicas"],
+    )
+    rows = [[r["s"], r["seed"], r["spin_distance"], r["mean_distance"]] for r in rows]
     _write_result(
         cfg.get("out"), _csv(["s", "seed", "spin_distance", "mean_distance"], rows), cfg
     )
 
 
-def _cmd_validate(cfg: dict, args) -> None:
+def _cmd_validate(cfg: dict) -> None:
     failures = run_validation(verbose=True)
     if failures:
         raise SystemExit(1)
@@ -398,7 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int)
         p.add_argument("--beta", type=float)
         p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int)
         p.add_argument("--out")
         p.add_argument("--tensor-file", dest="tensor_file")
         p.add_argument(
@@ -418,8 +343,6 @@ def _apply_overrides(cfg: dict, args) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    if args.threads is not None:
-        cfg["threads"] = args.threads
     for item in args.set:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"--set expects SECTION.KEY=VALUE, got {item!r}")
@@ -444,11 +367,11 @@ def main(argv=None) -> int:
         cfg["kind"] = args.kind
         cfg = _apply_overrides(cfg, args)
         cfg = resolve_config(cfg)
-        _HANDLERS[args.kind](cfg, args)
+        _HANDLERS[args.kind](cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, FloatingPointError, OSError) as e:
+    except (ValueError, RuntimeError, FloatingPointError, OSError, MemoryError) as e:
         print(f"error [{type(e).__name__}]: {e}", file=sys.stderr)
         return 1
     return 0

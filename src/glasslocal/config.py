@@ -47,7 +47,6 @@ CONFIG_SCHEMA = {
         "n": {"type": "integer", "minimum": 1},
         "beta": {"type": "number", "minimum": 0},
         "seed": {"type": "integer", "minimum": 0},
-        "threads": {"type": "integer", "minimum": 1},
         "out": {"type": "string"},
         "tensor_file": {"type": "string"},
         "sampler": {
@@ -158,7 +157,6 @@ DEFAULTS = {
     "n": 10,
     "beta": 0.3,
     "seed": 0,
-    "threads": 1,
     "sampler": {
         "delta": 0.05,
         "L": 400,

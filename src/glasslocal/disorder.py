@@ -11,6 +11,7 @@ the random instance of the same seed.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from itertools import permutations
@@ -311,11 +312,20 @@ def write_tensors(path, g: DisorderTensors) -> None:
 
 
 def read_tensors(path) -> DisorderTensors:
+    """Read a tensor file.  The header, the entry budget and the exact file
+    length are checked before any tensor body is read."""
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         magic = f.read(5)
         if magic != _MAGIC:
             raise ValueError(f"not a tensor file (bad magic {magic!r})")
-        n, P = struct.unpack("<II", f.read(8))
+        head = f.read(8)
+        n, P = struct.unpack("<II", head) if len(head) == 8 else (0, 0)
+        header_len = 5 + 8 + 8 * max(P - 1, 0) + 9
+        if size < header_len:
+            raise ValueError(f"tensor file header truncated: {size} of {header_len} bytes")
+        if n < 1:
+            raise ValueError("tensor file header has n = 0; n must be >= 1")
         csq = {}
         for p in range(2, P + 1):
             (c,) = struct.unpack("<d", f.read(8))
@@ -323,6 +333,11 @@ def read_tensors(path) -> DisorderTensors:
                 csq[p] = c
         seed, tag = struct.unpack("<QB", f.read(9))
         spec = MixtureSpec(tuple(sorted(csq.items())))
+        _check_budget(spec, n, ENTRY_BUDGET)
+        expected = header_len + 8 * sum(n**p for p in csq)
+        if size != expected:
+            problem = "body truncated" if size < expected else "has trailing bytes"
+            raise ValueError(f"tensor file {problem}: {size} bytes, expected {expected}")
         tensors = {}
         for p in sorted(csq):
             count = n**p

@@ -25,7 +25,7 @@ from . import rng
 from .disorder import DisorderTensors
 from .amp import amp_run
 from .state_evolution import q_schedule
-from .tap import TapParams, ftap_grad, ngd_run
+from .tap import TapIterate, TapParams, ngd_run
 
 __all__ = [
     "SamplerParams",
@@ -39,12 +39,7 @@ __all__ = [
 
 @dataclass
 class SamplerParams:
-    """All knobs of one sampler run; T = L * delta.
-
-    warm_start reuses each step's final natural parameter to seed the next
-    step's estimator instead of restarting from zero; it is NOT the canonical
-    algorithm (which restarts every step) and exists for speed comparisons.
-    """
+    """All knobs of one sampler run; T = L * delta."""
 
     beta: float
     delta: float = 0.05
@@ -55,7 +50,6 @@ class SamplerParams:
     gamma: float = 1.0
     seed: int = 0
     keep_trajectory: bool = False
-    warm_start: bool = False
 
     def __post_init__(self):
         if self.delta <= 0:
@@ -83,6 +77,27 @@ class SampleRun:
     step_grad_norms: np.ndarray | None = None  # (L+1,) or (L+1, replicas)
 
 
+def _estimate(
+    g: DisorderTensors,
+    y: np.ndarray,
+    beta: float,
+    q: float,
+    k_amp: int,
+    k_ngd: int,
+    eta: float,
+    gamma: float,
+) -> TapIterate:
+    """Two-stage mean of the tilted measure: message passing, then NGD.
+
+    AMP starts from zero and the natural-parameter handoff is u^0 = z^{k_amp}
+    directly.  Returns the final NGD iterate, whose `m` is the estimate and
+    whose `grad_norm` is ||grad F(m)||.
+    """
+    final = amp_run(g, y, beta, k_amp, keep_history=False)[-1]
+    params = TapParams(beta=beta, q=q, gamma_reg=gamma, y=np.asarray(y, dtype=float))
+    return ngd_run(g, final.z, params, eta, k_ngd, keep_history=False)[-1]
+
+
 def mean_estimate(
     g: DisorderTensors,
     y: np.ndarray,
@@ -93,15 +108,9 @@ def mean_estimate(
     eta: float = 0.1,
     gamma: float = 1.0,
 ):
-    """Two-stage mean of the tilted measure: message passing, then NGD.
-
-    The natural-parameter handoff is u^0 = z^{k_amp} directly.  Returns the
-    final magnetization tanh(u^{k_ngd}); accepts y as a vector or a batch.
-    """
-    final = amp_run(g, y, beta, k_amp, keep_history=False)[-1]
-    params = TapParams(beta=beta, q=q, gamma_reg=gamma, y=np.asarray(y, dtype=float))
-    out = ngd_run(g, final.z, params, eta, k_ngd, keep_history=False)[-1]
-    return out.m
+    """Final magnetization tanh(u^{k_ngd}) of the two-stage estimator;
+    accepts y as a vector or a batch."""
+    return _estimate(g, y, beta, q, k_amp, k_ngd, eta, gamma).m
 
 
 def round_spins(m: np.ndarray, generator: np.random.Generator) -> np.ndarray:
@@ -116,21 +125,6 @@ def round_spins(m: np.ndarray, generator: np.random.Generator) -> np.ndarray:
     m = np.clip(m, -1.0, 1.0)
     u = generator.uniform(size=m.shape)
     return np.where(u < (1.0 + m) / 2.0, 1.0, -1.0)
-
-
-def _mean_fn_default(params: SamplerParams):
-    def fn(g, Y, q):
-        z0 = fn.last_u if params.warm_start else None
-        final = amp_run(g, Y, params.beta, params.k_amp, keep_history=False, z_init=z0)[-1]
-        tp = TapParams(beta=params.beta, q=q, gamma_reg=params.gamma, y=np.asarray(Y, dtype=float))
-        out = ngd_run(g, final.z, tp, params.eta, params.k_ngd, keep_history=False)[-1]
-        fn.last_grad_norm = np.atleast_1d(out.grad_norm)
-        fn.last_u = np.atleast_2d(out.u)
-        return out.m
-
-    fn.last_grad_norm = None
-    fn.last_u = None
-    return fn
 
 
 def sample(
@@ -162,8 +156,15 @@ def sample(
     if len(q_values) < params.L + 1:
         raise ValueError("q_values must cover ell = 0..L")
     default_estimator = mean_fn is None
-    if default_estimator:
-        mean_fn = _mean_fn_default(params)
+    step_gnorms = np.zeros((params.L + 1, n_replicas)) if default_estimator else None
+
+    def estimate(Y, ell):
+        q = float(q_values[ell])
+        if not default_estimator:
+            return np.atleast_2d(mean_fn(g, Y, q))
+        it = _estimate(g, Y, params.beta, q, params.k_amp, params.k_ngd, params.eta, params.gamma)
+        step_gnorms[ell] = it.grad_norm
+        return it.m
 
     replicas = range(replica_start, replica_start + n_replicas)
     streams = [rng.stream(params.seed, "brownian", r) for r in replicas]
@@ -171,33 +172,23 @@ def sample(
 
     Y = np.zeros((n_replicas, n))
     traj = np.zeros((params.L + 1, n_replicas, n)) if params.keep_trajectory else None
-    step_gnorms = np.zeros((params.L + 1, n_replicas)) if default_estimator else None
     sqrt_delta = math.sqrt(params.delta)
     for ell in range(params.L):
-        means = np.atleast_2d(mean_fn(g, Y, float(q_values[ell])))
-        if step_gnorms is not None:
-            step_gnorms[ell] = mean_fn.last_grad_norm
+        means = estimate(Y, ell)
         W = np.stack([s.standard_normal(n) for s in streams])
         Y = Y + means * params.delta + sqrt_delta * W
         if traj is not None:
             traj[ell + 1] = Y
 
-    mean_final = np.atleast_2d(mean_fn(g, Y, float(q_values[params.L])))
-    if step_gnorms is not None:
-        step_gnorms[params.L] = mean_fn.last_grad_norm
+    mean_final = estimate(Y, params.L)
     x_alg = np.stack(
         [round_spins(mean_final[r], round_streams[r]) for r in range(n_replicas)]
     )
     final_q = np.sum(mean_final**2, axis=-1) / n
-    if default_estimator:
-        tp = TapParams(
-            beta=params.beta, q=float(q_values[params.L]), gamma_reg=params.gamma, y=Y
-        )
-        grad_norm = np.linalg.norm(
-            np.atleast_2d(ftap_grad(g, mean_final, tp)), axis=-1
-        ) / math.sqrt(n)
-    else:
-        grad_norm = np.zeros(n_replicas)
+    # the last NGD iterate already carries ||grad F(mean_final)|| at (Y, q_L)
+    grad_norm = (
+        step_gnorms[params.L] / math.sqrt(n) if default_estimator else np.zeros(n_replicas)
+    )
 
     single = n_replicas == 1
     return SampleRun(

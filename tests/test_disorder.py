@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,31 @@ class TestTensorFile:
         assert int.from_bytes(raw[5:9], "little") == 2  # n
         assert int.from_bytes(raw[9:13], "little") == 2  # P
         assert np.frombuffer(raw[13:21], dtype="<f8")[0] == 0.5  # c_2^2
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda raw: raw[:10], "header truncated"),
+            (lambda raw: raw[:25], "header truncated"),
+            (lambda raw: raw[:-8], "body truncated"),
+            (lambda raw: raw + b"\x00", "trailing bytes"),
+        ],
+        ids=["short-head", "short-coeffs", "truncated-body", "trailing-byte"],
+    )
+    def test_length_checked(self, sk, tmp_path, edit, match):
+        path = tmp_path / "t.gltn"
+        write_tensors(path, gen_random(sk, 3, seed=1))
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ValueError, match=match):
+            read_tensors(path)
+
+    @pytest.mark.parametrize("n, match", [(0, "n must be >= 1"), (100_000, "budget")])
+    def test_header_checked_before_body(self, tmp_path, n, match):
+        # a header alone: n = 10^5 claims 10^10 entries, rejected before any read
+        path = tmp_path / "h.gltn"
+        path.write_bytes(b"GLTN1" + struct.pack("<IIdQB", n, 2, 0.5, 0, 0))
+        with pytest.raises(ValueError, match=match):
+            read_tensors(path)
 
 
 class TestSpinEnumeration:

@@ -14,6 +14,7 @@ from glasslocal import (
 )
 from glasslocal import rng
 from glasslocal.localization import SamplerParams
+from glasslocal.tap import TapParams, ftap_grad
 
 from conftest import planted_instance
 
@@ -160,21 +161,29 @@ class TestSampler:
         assert run.y_trajectory.shape == (4, 5)
         np.testing.assert_array_equal(run.y_trajectory[0], np.zeros(5))
 
-    def test_warm_start_close_to_canonical(self, sk):
-        # the non-canonical warm start converges to the same stationary
-        # points; outputs agree closely but not bitwise
-        g = gen_random(sk, 8, seed=5)
-        common = dict(beta=0.25, delta=0.25, L=8, k_amp=6, k_ngd=10, seed=2)
-        a = sample(g, SamplerParams(**common), n_replicas=4)
-        b = sample(g, SamplerParams(**common, warm_start=True), n_replicas=4)
-        np.testing.assert_allclose(a.mean_final, b.mean_final, atol=1e-3)
-
     def test_step_grad_norms_recorded(self, sk):
         g = gen_random(sk, 6, seed=8)
         p = SamplerParams(beta=0.3, delta=0.25, L=5, k_amp=5, k_ngd=20, seed=1)
         run = sample(g, p, n_replicas=2)
         assert run.step_grad_norms.shape == (6, 2)
         assert np.all(np.isfinite(run.step_grad_norms))
+
+    @pytest.mark.parametrize("n_replicas", [1, 3])
+    def test_grad_norm_last_is_final_step_norm(self, sk, n_replicas):
+        # grad_norm_last is the last NGD iterate's norm per sqrt(n), and that
+        # equals ||grad F(mean_final)|| recomputed at (Y_L, q_L)
+        n = 6
+        g = gen_random(sk, n, seed=8)
+        p = SamplerParams(
+            beta=0.3, delta=0.25, L=5, k_amp=5, k_ngd=20, seed=1, keep_trajectory=True
+        )
+        run = sample(g, p, n_replicas=n_replicas)
+        gn = np.atleast_1d(run.grad_norm_last)
+        np.testing.assert_array_equal(gn, run.step_grad_norms[p.L] / np.sqrt(n))
+        tp = TapParams(beta=p.beta, q=float(run.q_used[p.L]), gamma_reg=p.gamma,
+                       y=np.atleast_2d(run.y_trajectory[p.L]))
+        direct = np.linalg.norm(ftap_grad(g, np.atleast_2d(run.mean_final), tp), axis=-1)
+        np.testing.assert_array_equal(gn, direct / np.sqrt(n))
 
     def test_q_schedule_used(self, sk):
         g = gen_random(sk, 5, seed=1)
