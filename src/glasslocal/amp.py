@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disorder import DisorderTensors, grad
+from .disorder import DisorderTensors, _rows, grad
 from .mixture import MixtureSpec
 
 __all__ = ["AmpState", "amp_run", "onsager", "amp_lipschitz_probe"]
@@ -69,18 +69,11 @@ def amp_run(
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    y_arr = np.asarray(y, dtype=float)
-    single = y_arr.ndim == 1
-    Y = y_arr[None, :] if single else y_arr
-    if Y.shape[-1] != g.n:
-        raise ValueError("dimension mismatch between y and the disorder")
-
-    def _squeeze(a):
-        return a[0] if single else a
-
+    Y, lead = _rows(y, g.n)
+    shape = lead + (g.n,)
     m_prev = np.zeros_like(Y)  # m^{-1}
     m = np.zeros_like(Y)  # m^0 = tanh(z^0) = 0
-    b = np.atleast_1d(onsager(g.spec, beta, np.mean(m**2, axis=-1)))
+    b = onsager(g.spec, beta, np.mean(m**2, axis=-1))
     states: list[AmpState] = []
     for k in range(1, K + 1):
         z = beta * grad(g, m) + Y - b[:, None] * m_prev
@@ -96,11 +89,11 @@ def amp_run(
         b = onsager(g.spec, beta, q_hat)
         state = AmpState(
             k=k,
-            m_hat=_squeeze(m),
-            m_hat_prev=_squeeze(m_prev),
-            z=_squeeze(z),
-            q_hat=float(q_hat[0]) if single else q_hat,
-            onsager_b=float(b[0]) if single else b,
+            m_hat=m.reshape(shape),
+            m_hat_prev=m_prev.reshape(shape),
+            z=z.reshape(shape),
+            q_hat=q_hat.reshape(lead)[()],
+            onsager_b=b.reshape(lead)[()],
         )
         if keep_history:
             states.append(state)

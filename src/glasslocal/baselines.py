@@ -127,12 +127,14 @@ def glauber_run(
     with Delta = H(x^{i->+}) - H(x^{i->-}).  For a quadratic mixture Delta is
     maintained incrementally through the local field; higher degrees pay two
     Hamiltonian evaluations per update.  States are recorded after `burn_in`
-    sweeps, every `thin` sweeps.
+    sweeps, every `thin` sweeps, so `burn_in` must be below `sweeps`.
     """
     x = np.asarray(x0, dtype=float).copy()
     n = g.n
     if x.shape != (n,) or not np.all(np.abs(x) == 1.0):
         raise ValueError("x0 must be a +-1 vector of length n")
+    if burn_in >= sweeps:
+        raise ValueError(f"burn_in = {burn_in} must be below sweeps = {sweeps}")
     gen = rng.stream(seed, "glauber")
     quadratic_only = g.active_degrees() == [2]
     if quadratic_only:
@@ -200,12 +202,16 @@ def write_batch_bits(path, batch: SampleBatch) -> None:
 
 
 def read_batch_bits(path) -> SampleBatch:
+    """Read a batch file: a complete header, n >= 1, and one or more whole rows."""
     with open(path, "rb") as f:
-        n = int.from_bytes(f.read(4), "little")
+        head = f.read(4)
         raw = np.frombuffer(f.read(), dtype=np.uint8)
+    n = int.from_bytes(head, "little") if len(head) == 4 else 0
+    if n < 1:
+        raise ValueError("batch file header truncated or n = 0; it needs a u32 n >= 1")
     row_bytes = (n + 7) // 8
-    if row_bytes == 0 or raw.size % row_bytes:
-        raise ValueError("corrupt batch file")
+    if raw.size == 0 or raw.size % row_bytes:
+        raise ValueError(f"corrupt batch file: {raw.size} bytes are not whole rows of {row_bytes}")
     rows = raw.reshape(-1, row_bytes)
     bits = np.unpackbits(rows, axis=1)[:, :n]
     return SampleBatch(spins=2.0 * bits.astype(float) - 1.0, provenance="file")

@@ -134,7 +134,10 @@ def _cmd_se(cfg: dict) -> None:
 def _cmd_amp(cfg: dict) -> None:
     spec = MixtureSpec.from_dict(cfg["mixture"])
     beta, t, K = cfg["beta"], cfg["amp"]["t"], cfg["amp"]["k"]
-    if cfg["amp"]["planted"] and not cfg.get("tensor_file"):
+    if cfg["amp"]["planted"] and cfg.get("tensor_file"):
+        msg = "a tensor file does not store the planted x, so the MSE is undefined"
+        raise ConfigError(f"config field 'amp/planted': {msg}; set amp.planted=false")
+    if cfg["amp"]["planted"]:
         x = _planted_x(cfg)
         g = gen_planted(spec, cfg["n"], beta, x, cfg["seed"])
     else:
@@ -198,14 +201,11 @@ def _cmd_sample(cfg: dict) -> None:
     for lo in range(0, n_rep, REPLICA_CHUNK):
         k = min(REPLICA_CHUNK, n_rep - lo)
         res = sample(g, params, n_replicas=k, q_values=sched.values, replica_start=lo)
-        x = np.atleast_2d(res.x_alg)
-        fq = np.atleast_1d(res.final_q)
-        gn = np.atleast_1d(res.grad_norm_last)
-        for i in range(k):
-            rows.append([lo + i, cfg["seed"], fq[i], gn[i], _spins_to_hex(x[i])])
+        for i, x in enumerate(res.x_alg):
+            row = [lo + i, cfg["seed"], res.final_q[i], res.grad_norm_last[i], _spins_to_hex(x)]
+            rows.append(row)
         if params.keep_trajectory:
-            t = res.y_trajectory
-            traj_parts.append(t[:, None, :] if t.ndim == 2 else t)
+            traj_parts.append(res.y_trajectory)
     header = ["replica", "seed", "final_q", "grad_norm_last", "x_bits_hex"]
     _write_result(cfg.get("out"), _csv(header, rows), cfg)
     if params.keep_trajectory and cfg.get("out"):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 
 import jsonschema
 
@@ -183,8 +184,19 @@ class ConfigError(ValueError):
     """Schema violation, carrying a pointer to the offending field."""
 
 
+# Numbers must be finite: json reads NaN and +-Infinity, and NaN passes every
+# bound such as `minimum` because comparisons with NaN are false.
+_TYPES = jsonschema.Draft202012Validator.TYPE_CHECKER
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=_TYPES.redefine(
+        "number", lambda _, v: _TYPES.is_type(v, "number") and math.isfinite(v)
+    ),
+)
+
+
 def validate_config(cfg: dict) -> None:
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+    validator = _Validator(CONFIG_SCHEMA)
     errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
     if errors:
         e = errors[0]

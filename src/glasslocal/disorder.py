@@ -175,12 +175,16 @@ def interpolate(g0: DisorderTensors, g1: DisorderTensors, s: float) -> DisorderT
     )
 
 
-def _as_batch(x: np.ndarray, n: int):
+def _rows(x, n: int):
+    """Rows (M, n) of an array of n-vectors (..., n), and its leading shape.
+
+    The only place a vector becomes a one-row batch: kernels compute on rows
+    and reshape their result with the leading shape once, on the way out.
+    """
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != n:
+    if x.ndim == 0 or x.shape[-1] != n:
         raise ValueError(f"dimension mismatch: expected vectors of length {n}")
-    single = x.ndim == 1
-    return (x[None, :] if single else x), single
+    return x.reshape(-1, n), x.shape[:-1]
 
 
 def _contract_all(T: np.ndarray, X: np.ndarray, p: int) -> np.ndarray:
@@ -201,21 +205,21 @@ def _contract_skip(T: np.ndarray, X: np.ndarray, p: int, slot: int) -> np.ndarra
 def hamiltonian(g: DisorderTensors, x: np.ndarray):
     """H(x) = sum_p c_p n^{-(p-1)/2} <G^(p), x^(x)p>.
 
-    Accepts a vector (n,) -> scalar or a batch (M, n) -> (M,).  Contractions
+    A vector (n,) gives a scalar and a batch (M, n) gives (M,).  Contractions
     run in a fixed order, so results are reproducible bit-for-bit.
     """
-    X, single = _as_batch(x, g.n)
+    X, lead = _rows(x, g.n)
     if not np.all(np.isfinite(X)):
         raise ValueError("x must be finite")
     out = np.zeros(X.shape[0])
     for p, T in g.tensors.items():
         out += g.spec.c(p) / g.n ** ((p - 1) / 2) * _contract_all(T, X, p)
-    return float(out[0]) if single else out
+    return out.reshape(lead)[()]
 
 
 def grad(g: DisorderTensors, m: np.ndarray):
     """Exact gradient of the Hamiltonian: the sum over derivative slots."""
-    X, single = _as_batch(m, g.n)
+    X, lead = _rows(m, g.n)
     if not np.all(np.isfinite(X)):
         raise ValueError("m must be finite")
     out = np.zeros_like(X)
@@ -223,7 +227,7 @@ def grad(g: DisorderTensors, m: np.ndarray):
         scale = g.spec.c(p) / g.n ** ((p - 1) / 2)
         for slot in range(p):
             out += scale * _contract_skip(T, X, p, slot)
-    return out[0] if single else out
+    return out.reshape(lead + (g.n,))
 
 
 def hessian(g: DisorderTensors, m: np.ndarray, cap: int = HESSIAN_CAP) -> np.ndarray:

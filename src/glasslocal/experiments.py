@@ -80,22 +80,20 @@ def stability_experiment(
         g1 = gen_random(spec, n, int(seed) + 1_000_003)
         base = replace(params, beta=beta, seed=int(seed))
         run0 = sample(g0, base, n_replicas=n_replicas)
-        x0 = np.atleast_2d(run0.x_alg)
-        m0 = np.atleast_2d(run0.mean_final)
         for v in values:
             if temperature_mode:
                 g_pert, pert = g0, replace(base, beta=float(v))
             else:
                 g_pert, pert = interpolate(g0, g1, float(v)), base
             run_s = sample(g_pert, pert, n_replicas=n_replicas)
-            xs = np.atleast_2d(run_s.x_alg)
-            ms = np.atleast_2d(run_s.mean_final)
+            dx = run0.x_alg - run_s.x_alg
+            dm = run0.mean_final - run_s.mean_final
             rows.append(
                 {
                     ("beta_prime" if temperature_mode else "s"): float(v),
                     "seed": int(seed),
-                    "spin_distance": float(np.mean(np.sum((x0 - xs) ** 2, axis=-1)) / n),
-                    "mean_distance": float(np.mean(np.sum((m0 - ms) ** 2, axis=-1)) / n),
+                    "spin_distance": float(np.mean(np.sum(dx**2, axis=-1)) / n),
+                    "mean_distance": float(np.mean(np.sum(dm**2, axis=-1)) / n),
                 }
             )
     return rows

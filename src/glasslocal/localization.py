@@ -17,7 +17,7 @@ coupled disorder instances share their driving noise exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,17 +64,16 @@ class SamplerParams:
 
 @dataclass
 class SampleRun:
-    """Output of one sampler invocation (single replica or a batch)."""
+    """Output of one sampler invocation over R replicas, batch-shaped for any R."""
 
-    mean_final: np.ndarray
-    x_alg: np.ndarray
+    mean_final: np.ndarray  # (R, n)
+    x_alg: np.ndarray  # (R, n)
     seed: int
-    replica: int | None = None
-    y_trajectory: np.ndarray | None = None
-    final_q: float | np.ndarray = 0.0
-    grad_norm_last: float | np.ndarray = 0.0
-    q_used: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    step_grad_norms: np.ndarray | None = None  # (L+1,) or (L+1, replicas)
+    final_q: np.ndarray  # (R,)
+    grad_norm_last: np.ndarray  # (R,)
+    q_used: np.ndarray  # (L+1,)
+    y_trajectory: np.ndarray | None = None  # (L+1, R, n), with keep_trajectory
+    step_grad_norms: np.ndarray | None = None  # (L+1, R), default estimator only
 
 
 def _estimate(
@@ -135,17 +134,19 @@ def sample(
     q_values: np.ndarray | None = None,
     replica_start: int = 0,
 ) -> SampleRun:
-    """Run the full localization sampler.
+    """Run the full localization sampler on `n_replicas` replicas.
 
-    Replicas evolve as a batch but each draws its Brownian increments from
-    its own (seed, "brownian", replica) stream and rounds with its own
-    (seed, "round", replica) stream, so per-replica randomness is independent
-    of the batch it runs in; `replica_start` offsets the stream labels so a
-    run can be split into chunks.  (Changing the batch partition can still
-    move float results by an ulp through BLAS reduction order; callers that
-    need byte-stable files must pin the partition, as the CLI does.)  `mean_fn(g, Y, q) -> means` replaces the
-    default estimator when given (used by the exact-mean mode at tiny n);
-    `q_values` overrides the precomputed schedule.
+    The result has one row per replica.  Replicas evolve as a batch but each
+    draws its Brownian increments from its own (seed, "brownian", replica)
+    stream and rounds with its own (seed, "round", replica) stream, so
+    per-replica randomness is independent of the batch it runs in;
+    `replica_start` offsets the stream labels so a run can be split into
+    chunks.  (Changing the batch partition can still move float results by an
+    ulp through BLAS reduction order; callers that need byte-stable files
+    must pin the partition, as the CLI does.)
+    `mean_fn(g, Y, q) -> means`, rows in and rows out, replaces the default
+    estimator when given (used by the exact-mean mode at tiny n); `q_values`
+    overrides the precomputed schedule.
     """
     n = g.n
     if q_values is None:
@@ -161,7 +162,7 @@ def sample(
     def estimate(Y, ell):
         q = float(q_values[ell])
         if not default_estimator:
-            return np.atleast_2d(mean_fn(g, Y, q))
+            return mean_fn(g, Y, q)
         it = _estimate(g, Y, params.beta, q, params.k_amp, params.k_ngd, params.eta, params.gamma)
         step_gnorms[ell] = it.grad_norm
         return it.m
@@ -181,28 +182,19 @@ def sample(
             traj[ell + 1] = Y
 
     mean_final = estimate(Y, params.L)
-    x_alg = np.stack(
-        [round_spins(mean_final[r], round_streams[r]) for r in range(n_replicas)]
-    )
+    x_alg = np.stack([round_spins(m, s) for m, s in zip(mean_final, round_streams)])
     final_q = np.sum(mean_final**2, axis=-1) / n
     # the last NGD iterate already carries ||grad F(mean_final)|| at (Y, q_L)
-    grad_norm = (
-        step_gnorms[params.L] / math.sqrt(n) if default_estimator else np.zeros(n_replicas)
-    )
-
-    single = n_replicas == 1
+    grad_norm = step_gnorms[params.L] / math.sqrt(n) if default_estimator else np.zeros(n_replicas)
     return SampleRun(
-        mean_final=mean_final[0] if single else mean_final,
-        x_alg=x_alg[0] if single else x_alg,
+        mean_final=mean_final,
+        x_alg=x_alg,
         seed=params.seed,
-        replica=replica_start if single else None,
-        y_trajectory=(traj[:, 0] if single else traj) if traj is not None else None,
-        final_q=float(final_q[0]) if single else final_q,
-        grad_norm_last=float(grad_norm[0]) if single else grad_norm,
+        y_trajectory=traj,
+        final_q=final_q,
+        grad_norm_last=grad_norm,
         q_used=np.asarray(q_values[: params.L + 1]),
-        step_grad_norms=(
-            (step_gnorms[:, 0] if single else step_gnorms) if step_gnorms is not None else None
-        ),
+        step_grad_norms=step_gnorms,
     )
 
 

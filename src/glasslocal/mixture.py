@@ -26,9 +26,10 @@ _MAX_ORDER = 4
 class MixtureSpec:
     """The mixture polynomial via its ordered (p, c_p^2) coefficients.
 
-    `coeffs` must have strictly increasing p >= 2 and nonnegative c_p^2 with
-    at least one positive entry.  Degrees beyond `TENSOR_DEGREE_CAP` are
-    allowed for scalar-only work and flagged through `scalar_only`.
+    `coeffs` must have strictly increasing p >= 2 and finite, nonnegative
+    c_p^2 with at least one positive entry.  Degrees beyond
+    `TENSOR_DEGREE_CAP` are allowed for scalar-only work and flagged through
+    `scalar_only`.
     """
 
     coeffs: tuple[tuple[int, float], ...]
@@ -44,8 +45,8 @@ class MixtureSpec:
                 raise ValueError(f"degree p={p} must be an integer >= 2")
             if p <= prev:
                 raise ValueError("degrees must be strictly increasing")
-            if csq < 0:
-                raise ValueError(f"c_{p}^2 = {csq} must be nonnegative")
+            if not (math.isfinite(csq) and csq >= 0):
+                raise ValueError(f"c_{p}^2 = {csq} must be finite and nonnegative")
             prev = p
             total += csq
         if total <= 0:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disorder import HESSIAN_CAP, DisorderTensors, grad, hamiltonian, hessian
+from .disorder import DisorderTensors, _rows, grad, hamiltonian, hessian
 from .mixture import MixtureSpec, binary_entropy_sum
 
 __all__ = [
@@ -85,19 +85,15 @@ def ons_prime(spec: MixtureSpec, beta: float, Q) -> float:
     return float(out) if np.ndim(Q) == 0 else out
 
 
-def _interior_batch(m: np.ndarray, n: int):
-    M = np.asarray(m, dtype=float)
-    if M.shape[-1] != n:
-        raise ValueError(f"dimension mismatch: expected vectors of length {n}")
-    if np.any(np.abs(M) >= 1.0):
+def _check_interior(m: np.ndarray) -> None:
+    if np.any(np.abs(m) >= 1.0):
         raise ValueError("m must lie strictly inside (-1, 1)^n")
-    single = M.ndim == 1
-    return (M[None, :] if single else M), single
 
 
 def ftap_value(g: DisorderTensors, m: np.ndarray, params: TapParams):
     """Value of the modified free energy at interior m (vector or batch)."""
-    M, single = _interior_batch(m, g.n)
+    M, lead = _rows(m, g.n)
+    _check_interior(M)
     n = g.n
     beta, q, gam = params.beta, params.q, params.gamma_reg
     Q = np.sum(M * M, axis=-1) / n
@@ -105,19 +101,20 @@ def ftap_value(g: DisorderTensors, m: np.ndarray, params: TapParams):
     y = params.y
     tilt = np.sum(M * y, axis=-1) if y.ndim > 1 else M @ y
     val = (
-        -beta * np.atleast_1d(hamiltonian(g, M))
+        -beta * hamiltonian(g, M)
         - tilt
         - binary_entropy_sum(M)
         - n * (ons(g.spec, beta, q) + ons_prime(g.spec, beta, q) * (Q - q))
         + n * gam * beta / 8.0 * (Q - q) ** 2
     )
-    return float(val[0]) if single else val
+    return val.reshape(lead)[()]
 
 
 def ftap_grad(g: DisorderTensors, m: np.ndarray, params: TapParams):
     """Gradient: -beta grad H - y + atanh(m) + beta^2 (1-q) xi''(q) m
     + (Gamma beta / 2)(Q(m) - q) m."""
-    M, single = _interior_batch(m, g.n)
+    M, lead = _rows(m, g.n)
+    _check_interior(M)
     beta, q, gam = params.beta, params.q, params.gamma_reg
     Q = np.sum(M * M, axis=-1) / g.n
     out = (
@@ -127,23 +124,20 @@ def ftap_grad(g: DisorderTensors, m: np.ndarray, params: TapParams):
         + (beta * beta * (1.0 - q) * g.spec.xi(q, order=2)) * M
         + (0.5 * gam * beta) * (Q - q)[:, None] * M
     )
-    return out[0] if single else out
+    return out.reshape(lead + (g.n,))
 
 
 def ftap_hessian(g: DisorderTensors, m: np.ndarray, params: TapParams) -> np.ndarray:
     """Hessian: -beta hess H + D(m) + (beta^2(1-q)xi''(q)
     + (Gamma beta/2)(Q-q)) I + (Gamma beta / n) m m^T, D = diag(1/(1-m_i^2))."""
-    if g.n > HESSIAN_CAP:
-        raise ValueError(f"Hessian cap exceeded: n={g.n} > {HESSIAN_CAP}")
-    M, _ = _interior_batch(m, g.n)
-    mv = M[0]
+    mv = np.asarray(m, dtype=float)
+    _check_interior(mv)
     beta, q, gam = params.beta, params.q, params.gamma_reg
+    H = -beta * hessian(g, mv)  # enforces the size cap and rejects a batch
     Q = float(mv @ mv) / g.n
-    H = -beta * hessian(g, mv)
     H[np.diag_indices(g.n)] += 1.0 / (1.0 - mv * mv)
-    H[np.diag_indices(g.n)] += beta * beta * (1.0 - q) * g.spec.xi(q, order=2) + 0.5 * gam * beta * (
-        Q - q
-    )
+    reg = 0.5 * gam * beta * (Q - q)
+    H[np.diag_indices(g.n)] += beta * beta * (1.0 - q) * g.spec.xi(q, order=2) + reg
     H += (gam * beta / g.n) * np.outer(mv, mv)
     return H
 
@@ -152,8 +146,7 @@ def relative_hessian_extremes(
     g: DisorderTensors, m: np.ndarray, params: TapParams
 ) -> tuple[float, float]:
     """Extreme eigenvalues of D(m)^{-1/2} hess F D(m)^{-1/2}."""
-    M, _ = _interior_batch(m, g.n)
-    mv = M[0]
+    mv = np.asarray(m, dtype=float)
     H = ftap_hessian(g, mv, params)
     d_inv_sqrt = np.sqrt(1.0 - mv * mv)
     A = H * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
@@ -203,25 +196,22 @@ def ngd_run(
         raise ValueError("eta must be positive")
     if K < 1:
         raise ValueError("K must be >= 1")
-    U = np.asarray(u0, dtype=float)
-    single = U.ndim == 1
-    if single:
-        U = U[None, :]
+    U, lead = _rows(u0, g.n)
     M = _clip_interior(np.tanh(U))
-    f = np.atleast_1d(ftap_value(g, M, params))
+    f = ftap_value(g, M, params)
 
     def _mk_state(U, Mm, f):
-        gnorm = np.linalg.norm(np.atleast_2d(ftap_grad(g, Mm, params)), axis=-1)
+        gnorm = np.linalg.norm(ftap_grad(g, Mm, params), axis=-1)
         return TapIterate(
-            u=U[0] if single else U,
-            m=Mm[0] if single else Mm,
-            ftap=float(f[0]) if single else f,
-            grad_norm=float(gnorm[0]) if single else gnorm,
+            u=U.reshape(lead + (g.n,)),
+            m=Mm.reshape(lead + (g.n,)),
+            ftap=f.reshape(lead)[()],
+            grad_norm=gnorm.reshape(lead)[()],
         )
 
     states: list[TapIterate] = []
     for k in range(K):
-        gvec = np.atleast_2d(ftap_grad(g, M, params))
+        gvec = ftap_grad(g, M, params)
         if not np.all(np.isfinite(gvec)):
             raise FloatingPointError(f"NGD gradient non-finite at step k={k}")
         eta_row = np.full(f.shape, eta)
@@ -229,7 +219,7 @@ def ngd_run(
         for attempt in range(max_halvings + 1):
             U_try = U - eta_row[:, None] * gvec
             M_try = _clip_interior(np.tanh(U_try))
-            f_try = np.atleast_1d(ftap_value(g, M_try, params))
+            f_try = ftap_value(g, M_try, params)
             bad = f_try > f + noise_tol
             if not np.any(bad):
                 break

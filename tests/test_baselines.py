@@ -109,6 +109,12 @@ class TestGlauber:
         b = glauber_run(g, 0.4, np.ones(5), sweeps=50, seed=9)
         np.testing.assert_array_equal(a.spins, b.spins)
 
+    @pytest.mark.parametrize("burn_in", [30, 100])
+    def test_burn_in_below_sweeps(self, sk, burn_in):
+        g = gen_random(sk, 5, seed=7)
+        with pytest.raises(ValueError, match="burn_in"):
+            glauber_run(g, 0.4, np.ones(5), sweeps=30, seed=9, burn_in=burn_in)
+
     def test_pair_correlations_match_enumeration(self, sk):
         # n = 8 chain vs exact second moments, 3 s.e. of the chain estimate
         n, beta = 8, 0.3

@@ -31,6 +31,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match="sampler"):
             resolve_config({"kind": "sample", "sampler": {"junk": 2}})
 
+    @pytest.mark.parametrize(
+        "cfg, where",
+        [
+            ({"kind": "sample", "beta": float("nan")}, "beta"),
+            ({"kind": "sample", "mixture": {"2": float("inf")}}, "mixture/2"),
+            ({"kind": "chaos", "chaos": {"s_list": [0.1, float("nan")]}}, "chaos/s_list/1"),
+            ({"kind": "sample", "sampler": {"eta": float("inf")}}, "sampler/eta"),
+        ],
+    )
+    def test_non_finite_rejected(self, cfg, where):
+        with pytest.raises(ConfigError, match=f"config field '{where}'"):
+            resolve_config(cfg)
+
     def test_schema_is_strict_everywhere(self):
         assert CONFIG_SCHEMA["additionalProperties"] is False
         assert CONFIG_SCHEMA["properties"]["sampler"]["additionalProperties"] is False
@@ -77,6 +90,54 @@ class TestSubcommands:
         path.write_bytes(path.read_bytes()[:12])
         assert run_cli("sample", "--tensor-file", str(path)) == 1
         assert "header truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags", [["--beta", "nan"], ["--mixture", '{"2": NaN}'], ["--mixture", '{"2": Infinity}']]
+    )
+    def test_non_finite_flag_rejected(self, capsys, flags):
+        assert run_cli("sample", "--n", "4", *flags) == 2
+        assert "is not of type 'number'" in capsys.readouterr().err
+
+    def test_glauber_burn_in_checked(self, capsys):
+        # the default burn_in of 100 is not below 30 sweeps
+        assert run_cli("glauber", "--n", "4", "--set", "glauber.sweeps=30") == 1
+        assert "burn_in" in capsys.readouterr().err
+
+    def test_amp_planted_needs_generated_instance(self, tmp_path, capsys):
+        path = tmp_path / "p.gltn"
+        code = run_cli(
+            "gen-disorder", "--n", "6", "--set", 'gen.mode="planted"',
+            "--set", "gen.planted_beta=0.5", "--out", str(path),
+        )
+        assert code == 0
+        out = tmp_path / "amp.csv"
+        assert run_cli("amp", "--tensor-file", str(path), "--out", str(out)) == 2
+        assert "amp.planted=false" in capsys.readouterr().err
+        assert not out.exists()
+        flags = ["--set", "amp.planted=false", "--set", "amp.k=2", "--out", str(out)]
+        assert run_cli("amp", "--tensor-file", str(path), *flags) == 0
+
+    @pytest.mark.parametrize(
+        "raw, match",
+        [
+            ((10).to_bytes(4, "little"), "corrupt batch file"),
+            (b"\x0a", "header truncated"),
+            ((0).to_bytes(4, "little") + b"\x01", "n = 0"),
+        ],
+        ids=["header-only", "one-byte", "n-zero"],
+    )
+    def test_bad_bits_file_reported(self, tmp_path, capsys, raw, match):
+        path = tmp_path / "bad.bits"
+        path.write_bytes(raw)
+        out = tmp_path / "w2.csv"
+        code = run_cli(
+            "w2", "--set", f'w2.batch_a="{path}"', "--set", f'w2.batch_b="{path}"',
+            "--out", str(out),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [ValueError]") and match in err
+        assert not out.exists()
 
     def test_gen_disorder_roundtrip(self, tmp_path):
         out = tmp_path / "g.gltn"

@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -269,6 +270,13 @@ class TestTensorFile:
         path = tmp_path / "h.gltn"
         path.write_bytes(b"GLTN1" + struct.pack("<IIdQB", n, 2, 0.5, 0, 0))
         with pytest.raises(ValueError, match=match):
+            read_tensors(path)
+
+    def test_non_finite_coefficient_rejected(self, tmp_path):
+        # a complete n = 2 file whose header gives c_2^2 = NaN
+        path = tmp_path / "nan.gltn"
+        path.write_bytes(b"GLTN1" + struct.pack("<IIdQB", 2, 2, math.nan, 0, 0) + bytes(8 * 4))
+        with pytest.raises(ValueError, match="finite"):
             read_tensors(path)
 
 

@@ -140,9 +140,9 @@ class TestSampler:
         p = SamplerParams(beta=0.2, delta=0.25, L=4, k_amp=5, k_ngd=10, seed=42)
         batch = sample(g, p, n_replicas=3)
         solo = sample(g, p, n_replicas=1, replica_start=2)
-        np.testing.assert_array_equal(np.atleast_2d(batch.x_alg)[2], solo.x_alg)
+        np.testing.assert_array_equal(np.atleast_2d(batch.x_alg)[2], solo.x_alg[0])
         np.testing.assert_allclose(
-            np.atleast_2d(batch.mean_final)[2], solo.mean_final, atol=1e-12
+            np.atleast_2d(batch.mean_final)[2], solo.mean_final[0], atol=1e-12
         )
 
     def test_beta_zero_uniform_output(self, sk):
@@ -158,8 +158,8 @@ class TestSampler:
         g = gen_random(sk, 5, seed=1)
         p = SamplerParams(beta=0.2, delta=0.5, L=3, k_amp=3, k_ngd=5, seed=0, keep_trajectory=True)
         run = sample(g, p)
-        assert run.y_trajectory.shape == (4, 5)
-        np.testing.assert_array_equal(run.y_trajectory[0], np.zeros(5))
+        assert run.y_trajectory.shape == (4, 1, 5)
+        np.testing.assert_array_equal(run.y_trajectory[0], np.zeros((1, 5)))
 
     def test_step_grad_norms_recorded(self, sk):
         g = gen_random(sk, 6, seed=8)

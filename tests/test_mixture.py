@@ -37,6 +37,13 @@ class TestMixtureSpec:
         with pytest.raises(ValueError):
             MixtureSpec(((2, 0.0),))
 
+    @pytest.mark.parametrize("csq", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, csq):
+        with pytest.raises(ValueError, match="finite"):
+            MixtureSpec(((2, csq),))
+        with pytest.raises(ValueError, match="finite"):
+            MixtureSpec(((2, 0.5), (3, csq)))
+
     def test_high_degree_flagged_scalar_only(self):
         spec = MixtureSpec.pure(100)
         assert spec.scalar_only
