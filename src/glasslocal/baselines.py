@@ -125,9 +125,10 @@ def glauber_run(
 
     The conditional is exact: P(x_i = +1 | rest) = 1/(1 + exp(-beta Delta))
     with Delta = H(x^{i->+}) - H(x^{i->-}).  For a quadratic mixture Delta is
-    maintained incrementally through the local field; higher degrees pay two
-    Hamiltonian evaluations per update.  States are recorded after `burn_in`
-    sweeps, every `thin` sweeps, so `burn_in` must be below `sweeps`.
+    maintained incrementally through the local field; higher degrees pay one
+    two-row Hamiltonian call (both flips) per update.  States are recorded
+    after `burn_in` sweeps, every `thin` sweeps, so `burn_in` must be below
+    `sweeps`.
     """
     x = np.asarray(x0, dtype=float).copy()
     n = g.n
@@ -149,11 +150,10 @@ def glauber_run(
             if quadratic_only:
                 delta = 2.0 * (field[i] - S[i, i] * x[i])
             else:
-                xp = x.copy()
-                xp[i] = 1.0
-                xm = x.copy()
-                xm[i] = -1.0
-                delta = hamiltonian(g, xp) - hamiltonian(g, xm)
+                flips = np.stack([x, x])
+                flips[:, i] = (1.0, -1.0)
+                hp, hm = hamiltonian(g, flips)
+                delta = hp - hm
             new = 1.0 if u < 1.0 / (1.0 + math.exp(-beta * delta)) else -1.0
             if new != x[i]:
                 if quadratic_only:

@@ -3,9 +3,14 @@
 A disorder instance is one dense, raw (unsymmetrized) i.i.d. N(0,1) tensor
 per active degree p.  The gradient sums the p derivative slots of the raw
 contraction, which equals p times the symmetrized contraction without ever
-materializing a symmetrized copy.  All entries come from Philox streams keyed
-by (seed, p), so a planted instance shares its noise part bit-for-bit with
-the random instance of the same seed.
+materializing a symmetrized copy.  One kernel gives both, on rows, in two
+contiguous BLAS passes per tensor: `X @ T.reshape(n, -1)` contracts slot 0,
+and a per-row chain over its (rows, n^(p-1)) result gives the value and slots
+1..p-1; `X @ T.reshape(-1, n).T` contracts slot p-1, and its chain gives slot
+0.  The value alone takes the first pass only.  Rows go through in blocks
+(`BLOCK_ENTRIES`).  All entries come from Philox streams keyed by (seed, p),
+so a planted instance shares its noise part bit-for-bit with the random
+instance of the same seed.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
-from itertools import permutations
 
 import numpy as np
 from scipy.special import logsumexp
@@ -46,10 +50,12 @@ HESSIAN_CAP = 512
 #: Exact enumeration (2^n states) is capped here.
 ENUMERATION_CAP = 20
 
-_MAGIC = b"GLTN1"
+#: Rows are contracted in blocks, one pass over each tensor per block.  A
+#: block's (rows, n^(p-1)) intermediate holds at most this many entries
+#: (256 KB), or a quarter of the tensor's entries (n/4 rows) if that is more.
+BLOCK_ENTRIES = 1 << 15
 
-# index letters for einsum contractions, degree <= 4
-_IDX = "ijkl"
+_MAGIC = b"GLTN1"
 
 
 @dataclass
@@ -115,10 +121,11 @@ def gen_random(spec: MixtureSpec, n: int, seed: int, budget: int = ENTRY_BUDGET)
     return DisorderTensors(n=n, spec=spec, tensors=tensors, seed=seed, kind="random")
 
 
-def _rank_one(x: np.ndarray, p: int) -> np.ndarray:
-    out = x
-    for _ in range(p - 1):
-        out = np.multiply.outer(out, x)
+def _power(x: np.ndarray, k: int) -> np.ndarray:
+    """x^(x)k, flattened; the empty product [1.0] for k = 0."""
+    out = np.ones(1)
+    for _ in range(k):
+        out = np.multiply.outer(out, x).ravel()
     return out
 
 
@@ -142,7 +149,7 @@ def gen_planted(
     for p in g.active_degrees():
         scale = beta * g.spec.c(p) / n ** ((p - 1) / 2)
         if scale != 0.0:
-            g.tensors[p] = g.tensors[p] + scale * _rank_one(x, p)
+            g.tensors[p] = g.tensors[p] + scale * _power(x, p).reshape((n,) * p)
     g.kind = "planted"
     g.meta = {"x": x.copy(), "beta": float(beta)}
     return g
@@ -187,51 +194,74 @@ def _rows(x, n: int):
     return x.reshape(-1, n), x.shape[:-1]
 
 
-def _contract_all(T: np.ndarray, X: np.ndarray, p: int) -> np.ndarray:
-    """<T, x^(x)p> for a batch X of shape (M, n)."""
-    ops = [T] + [X] * p
-    sub = _IDX[:p] + "," + ",".join("a" + c for c in _IDX[:p]) + "->a"
-    return np.einsum(sub, *ops, optimize=True)
+def _contract_last(S: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Contract the last slot of each row S[a], a flattened n^k tensor, with X[a]."""
+    R, n = X.shape
+    return (S.reshape(R, -1, n) @ X[:, :, None]).reshape(R, -1)
 
 
-def _contract_skip(T: np.ndarray, X: np.ndarray, p: int, slot: int) -> np.ndarray:
-    """<T, x (x) ... (x) e_i at `slot` (x) ... (x) x>, batched -> (M, n)."""
-    rest = [c for j, c in enumerate(_IDX[:p]) if j != slot]
-    sub = _IDX[:p] + "," + ",".join("a" + c for c in rest) + "->a" + _IDX[slot]
-    ops = [T] + [X] * (p - 1)
-    return np.einsum(sub, *ops, optimize=True)
+def _degree(T: np.ndarray, X: np.ndarray, want_grad: bool):
+    """<T, x^(x)p> per row and, if `want_grad`, the sum of its p slot derivatives."""
+    R, n = X.shape
+    A = X @ T.reshape(n, -1)  # leading pass: slots 1..p-1 are left
+    G = np.zeros_like(X) if want_grad else None
+    for k in range(T.ndim - 1, 0, -1):  # A holds slots 1..k
+        if want_grad:
+            S = A
+            for _ in range(k - 1):  # contract the first slot
+                S = (X[:, None, :] @ S.reshape(R, n, -1)).reshape(R, -1)
+            G += S  # derivative in slot k
+        A = _contract_last(A, X)
+    if want_grad:
+        B = X @ T.reshape(-1, n).T  # trailing pass: slots 0..p-2 are left
+        for _ in range(T.ndim - 2):
+            B = _contract_last(B, X)
+        G += B  # derivative in slot 0
+    return A[:, 0], G
+
+
+def _kernel(g: DisorderTensors, X: np.ndarray, want_grad: bool):
+    """H on rows X (M, n) and, if `want_grad`, grad H (M, n), else None.
+    Blocks and contractions run in a fixed order, so results are reproducible
+    bit-for-bit, and the value does not depend on `want_grad`."""
+    if not np.all(np.isfinite(X)):
+        raise ValueError("x must be finite")
+    M, n = X.shape
+    val = np.zeros(M)
+    gr = np.zeros((M, n)) if want_grad else None
+    for p, T in g.tensors.items():
+        scale = g.spec.c(p) / n ** ((p - 1) / 2)
+        rows = max(1, BLOCK_ENTRIES // n ** (p - 1), n // 4)
+        for lo in range(0, M, rows):
+            v, d = _degree(T, X[lo : lo + rows], want_grad)
+            val[lo : lo + rows] += scale * v
+            if want_grad:
+                gr[lo : lo + rows] += scale * d
+    return val, gr
 
 
 def hamiltonian(g: DisorderTensors, x: np.ndarray):
-    """H(x) = sum_p c_p n^{-(p-1)/2} <G^(p), x^(x)p>.
-
-    A vector (n,) gives a scalar and a batch (M, n) gives (M,).  Contractions
-    run in a fixed order, so results are reproducible bit-for-bit.
-    """
+    """H(x) = sum_p c_p n^{-(p-1)/2} <G^(p), x^(x)p>, one pass per tensor.
+    A vector (n,) gives a scalar and a batch (M, n) gives (M,)."""
     X, lead = _rows(x, g.n)
-    if not np.all(np.isfinite(X)):
-        raise ValueError("x must be finite")
-    out = np.zeros(X.shape[0])
-    for p, T in g.tensors.items():
-        out += g.spec.c(p) / g.n ** ((p - 1) / 2) * _contract_all(T, X, p)
-    return out.reshape(lead)[()]
+    return _kernel(g, X, False)[0].reshape(lead)[()]
 
 
 def grad(g: DisorderTensors, m: np.ndarray):
-    """Exact gradient of the Hamiltonian: the sum over derivative slots."""
+    """Exact gradient of the Hamiltonian, the sum over derivative slots: two
+    passes per tensor."""
     X, lead = _rows(m, g.n)
-    if not np.all(np.isfinite(X)):
-        raise ValueError("m must be finite")
-    out = np.zeros_like(X)
-    for p, T in g.tensors.items():
-        scale = g.spec.c(p) / g.n ** ((p - 1) / 2)
-        for slot in range(p):
-            out += scale * _contract_skip(T, X, p, slot)
-    return out.reshape(lead + (g.n,))
+    return _kernel(g, X, True)[1].reshape(lead + (g.n,))
 
 
 def hessian(g: DisorderTensors, m: np.ndarray, cap: int = HESSIAN_CAP) -> np.ndarray:
-    """Exact Hessian of the Hamiltonian, symmetric by construction."""
+    """Exact Hessian of the Hamiltonian, symmetric by construction.
+
+    For each slot pair s1 < s2, the other p-2 slots of the raw tensor are
+    contracted with m by reshape and matmul (the slots before s1, between
+    s1 and s2, and after s2, one group each), leaving an (n, n) block B over
+    (i_s1, i_s2); the pair adds B + B^T.
+    """
     if g.n > cap:
         raise ValueError(f"Hessian cap exceeded: n={g.n} > {cap}")
     mv = np.asarray(m, dtype=float)
@@ -240,21 +270,12 @@ def hessian(g: DisorderTensors, m: np.ndarray, cap: int = HESSIAN_CAP) -> np.nda
     out = np.zeros((g.n, g.n))
     for p, T in g.tensors.items():
         scale = g.spec.c(p) / g.n ** ((p - 1) / 2)
-        for s1, s2 in permutations(range(p), 2):
-            if s1 > s2:
-                continue
-            rest = [c for j, c in enumerate(_IDX[:p]) if j not in (s1, s2)]
-            sub = (
-                _IDX[:p]
-                + ("," if rest else "")
-                + ",".join(rest)
-                + "->"
-                + _IDX[s1]
-                + _IDX[s2]
-            )
-            ops = [T] + [mv] * (p - 2)
-            block = np.einsum(sub, *ops, optimize=True)
-            out += scale * (block + block.T)
+        for s1 in range(p):
+            for s2 in range(s1 + 1, p):
+                lead, mid, tail = (_power(mv, k) for k in (s1, s2 - s1 - 1, p - 1 - s2))
+                B = (lead @ T.reshape(lead.size, -1)).reshape(-1, tail.size) @ tail
+                block = mid @ B.reshape(g.n, mid.size, g.n)
+                out += scale * (block + block.T)
     return out
 
 
@@ -267,13 +288,9 @@ def all_spins(n: int) -> np.ndarray:
     return 2.0 * bits.astype(float) - 1.0
 
 
-def hamiltonian_table(g: DisorderTensors, chunk: int = 1 << 14) -> np.ndarray:
+def hamiltonian_table(g: DisorderTensors) -> np.ndarray:
     """H(x) over every configuration, in `all_spins` order."""
-    X = all_spins(g.n)
-    out = np.empty(X.shape[0])
-    for lo in range(0, X.shape[0], chunk):
-        out[lo : lo + chunk] = hamiltonian(g, X[lo : lo + chunk])
-    return out
+    return hamiltonian(g, all_spins(g.n))
 
 
 def partition_rescaled(g: DisorderTensors, beta: float, cap: int = ENUMERATION_CAP) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disorder import DisorderTensors, _rows, grad, hamiltonian, hessian
+from .disorder import DisorderTensors, _kernel, _rows, hessian
 from .mixture import MixtureSpec, binary_entropy_sum
 
 __all__ = [
@@ -90,41 +90,46 @@ def _check_interior(m: np.ndarray) -> None:
         raise ValueError("m must lie strictly inside (-1, 1)^n")
 
 
-def ftap_value(g: DisorderTensors, m: np.ndarray, params: TapParams):
-    """Value of the modified free energy at interior m (vector or batch)."""
-    M, lead = _rows(m, g.n)
+def _ftap(g: DisorderTensors, M: np.ndarray, params: TapParams, want_grad: bool):
+    """Value (rows,) of the modified free energy at interior rows M and, if
+    `want_grad`, its gradient (rows, n), else None: one kernel call."""
     _check_interior(M)
     n = g.n
     beta, q, gam = params.beta, params.q, params.gamma_reg
+    h, dh = _kernel(g, M, want_grad)
     Q = np.sum(M * M, axis=-1) / n
     # the tilt supports y as a shared (n,) vector or per-row (M, n)
     y = params.y
     tilt = np.sum(M * y, axis=-1) if y.ndim > 1 else M @ y
     val = (
-        -beta * hamiltonian(g, M)
+        -beta * h
         - tilt
         - binary_entropy_sum(M)
         - n * (ons(g.spec, beta, q) + ons_prime(g.spec, beta, q) * (Q - q))
         + n * gam * beta / 8.0 * (Q - q) ** 2
     )
-    return val.reshape(lead)[()]
+    if want_grad:
+        dh = (
+            -beta * dh
+            - y
+            + np.arctanh(M)
+            + (beta * beta * (1.0 - q) * g.spec.xi(q, order=2)) * M
+            + (0.5 * gam * beta) * (Q - q)[:, None] * M
+        )
+    return val, dh
+
+
+def ftap_value(g: DisorderTensors, m: np.ndarray, params: TapParams):
+    """Value of the modified free energy at interior m (vector or batch)."""
+    M, lead = _rows(m, g.n)
+    return _ftap(g, M, params, False)[0].reshape(lead)[()]
 
 
 def ftap_grad(g: DisorderTensors, m: np.ndarray, params: TapParams):
     """Gradient: -beta grad H - y + atanh(m) + beta^2 (1-q) xi''(q) m
     + (Gamma beta / 2)(Q(m) - q) m."""
     M, lead = _rows(m, g.n)
-    _check_interior(M)
-    beta, q, gam = params.beta, params.q, params.gamma_reg
-    Q = np.sum(M * M, axis=-1) / g.n
-    out = (
-        -beta * grad(g, M)
-        - params.y
-        + np.arctanh(M)
-        + (beta * beta * (1.0 - q) * g.spec.xi(q, order=2)) * M
-        + (0.5 * gam * beta) * (Q - q)[:, None] * M
-    )
-    return out.reshape(lead + (g.n,))
+    return _ftap(g, M, params, True)[1].reshape(lead + (g.n,))
 
 
 def ftap_hessian(g: DisorderTensors, m: np.ndarray, params: TapParams) -> np.ndarray:
@@ -190,7 +195,8 @@ def ngd_run(
     iterate's value jitters by an ulp, which must not trip the safeguard);
     an increase beyond that after all halvings raises.  `u0` may be a vector
     or a batch (M, n); rows evolve independently, so results do not depend
-    on how a batch is split.
+    on how a batch is split.  Each trial is one value-and-gradient call whose
+    gradient, once accepted, drives the next step and `grad_norm`.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -198,20 +204,18 @@ def ngd_run(
         raise ValueError("K must be >= 1")
     U, lead = _rows(u0, g.n)
     M = _clip_interior(np.tanh(U))
-    f = ftap_value(g, M, params)
+    f, gvec = _ftap(g, M, params, True)
 
-    def _mk_state(U, Mm, f):
-        gnorm = np.linalg.norm(ftap_grad(g, Mm, params), axis=-1)
+    def _mk_state(U, Mm, f, gvec):
         return TapIterate(
             u=U.reshape(lead + (g.n,)),
             m=Mm.reshape(lead + (g.n,)),
             ftap=f.reshape(lead)[()],
-            grad_norm=gnorm.reshape(lead)[()],
+            grad_norm=np.linalg.norm(gvec, axis=-1).reshape(lead)[()],
         )
 
     states: list[TapIterate] = []
     for k in range(K):
-        gvec = ftap_grad(g, M, params)
         if not np.all(np.isfinite(gvec)):
             raise FloatingPointError(f"NGD gradient non-finite at step k={k}")
         eta_row = np.full(f.shape, eta)
@@ -219,7 +223,7 @@ def ngd_run(
         for attempt in range(max_halvings + 1):
             U_try = U - eta_row[:, None] * gvec
             M_try = _clip_interior(np.tanh(U_try))
-            f_try = ftap_value(g, M_try, params)
+            f_try, g_try = _ftap(g, M_try, params, True)
             bad = f_try > f + noise_tol
             if not np.any(bad):
                 break
@@ -229,11 +233,11 @@ def ngd_run(
                 )
             eta_row[bad] *= 0.5
             logger.debug("NGD k=%d: halved eta on %d row(s)", k, int(bad.sum()))
-        U, M, f = U_try, M_try, f_try
+        U, M, f, gvec = U_try, M_try, f_try, g_try
         if not np.all(np.isfinite(U)):
             raise FloatingPointError(f"NGD produced a non-finite iterate at step k={k}")
         if keep_history:
-            states.append(_mk_state(U, M, f))
+            states.append(_mk_state(U, M, f, gvec))
     if not keep_history:
-        states = [_mk_state(U, M, f)]
+        states = [_mk_state(U, M, f, gvec)]
     return states

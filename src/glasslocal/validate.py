@@ -169,11 +169,10 @@ def _check_glauber_balance():
             xb = X[b].copy()
             xb[i] *= -1
             b2 = int(sum(int(v > 0) << k for k, v in enumerate(xb)))
-            xp = X[b].copy()
-            xp[i] = 1.0
-            xm = X[b].copy()
-            xm[i] = -1.0
-            delta = hamiltonian(g, xp) - hamiltonian(g, xm)
+            flips = np.stack([X[b], X[b]])
+            flips[:, i] = (1.0, -1.0)
+            hp, hm = hamiltonian(g, flips)
+            delta = hp - hm
             p_new = 1.0 / (1.0 + math.exp(-beta * delta * xb[i]))
             p_old = 1.0 / (1.0 + math.exp(-beta * delta * X[b][i]))
             lhs = logw[b] + math.log(p_new)

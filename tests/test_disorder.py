@@ -16,7 +16,22 @@ from glasslocal import (
     read_tensors,
     write_tensors,
 )
-from glasslocal.disorder import all_spins
+from glasslocal.disorder import BLOCK_ENTRIES, all_spins
+
+REFERENCE_SPECS = [((2, 0.5),), ((3, 0.7),), ((4, 0.2),), ((2, 0.5), (3, 0.7), (4, 0.2))]
+
+
+def _reference(g, X):
+    """H and grad H on rows by naive einsum, one call per derivative slot."""
+    val, out = np.zeros(len(X)), np.zeros_like(X)
+    for p, T in g.tensors.items():
+        scale = g.spec.c(p) / g.n ** ((p - 1) / 2)
+        idx = "ijkl"[:p]
+        val += scale * np.einsum(idx + "".join(",a" + c for c in idx) + "->a", T, *[X] * p)
+        for s in range(p):
+            rest = "".join(",a" + c for j, c in enumerate(idx) if j != s)
+            out += scale * np.einsum(idx + rest + "->a" + idx[s], T, *[X] * (p - 1))
+    return val, out
 
 
 class TestGeneration:
@@ -108,20 +123,20 @@ class TestHamiltonianCalculus:
         val = hamiltonian(g, np.array([0.7]))
         assert val == pytest.approx(sk.c(2) * g.tensors[2][0, 0] * 0.49)
 
-    def test_naive_reimplementation(self, mixed, gen):
-        # independent loop-based contraction oracle at n = 4
-        g = gen_random(mixed, 4, seed=8)
-        x = gen.uniform(-1, 1, 4)
-        want = 0.0
-        for p, T in g.tensors.items():
-            acc = 0.0
-            for idx in np.ndindex(*T.shape):
-                term = T[idx]
-                for i in idx:
-                    term *= x[i]
-                acc += term
-            want += mixed.c(p) / 4 ** ((p - 1) / 2) * acc
-        assert hamiltonian(g, x) == pytest.approx(want, rel=1e-12)
+    @pytest.mark.parametrize("rows", ["one", "three", "past-block"])
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    @pytest.mark.parametrize("coeffs", REFERENCE_SPECS, ids=["p2", "p3", "p4", "p234"])
+    def test_reference_contraction(self, coeffs, n, rows):
+        # the kernel against a naive per-slot einsum; the last row count
+        # splits the highest degree into two row blocks (n < 8, so a block
+        # is BLOCK_ENTRIES // n^(p-1) rows)
+        spec = MixtureSpec(coeffs)
+        g = gen_random(spec, n, seed=8)
+        M = {"one": 1, "three": 3, "past-block": BLOCK_ENTRIES // n ** (spec.degree - 1) + 2}
+        X = np.random.default_rng(n).uniform(-1, 1, (M[rows], n))
+        want_val, want_grad = _reference(g, X)
+        for got, want in ((hamiltonian(g, X), want_val), (grad(g, X), want_grad)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     def test_covariance_identity(self, sk, gen):
         # sample covariance of (H(x1), H(x2)) over seeds vs n xi(<x1,x2>/n)

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from glasslocal import (
     ons_prime,
     relative_hessian_extremes,
 )
+from glasslocal import tap
 from glasslocal.tap import TapParams
 from glasslocal import rng
 
@@ -281,6 +284,28 @@ class TestNgd:
         final2 = ngd_run(g, final.u, params2, eta=0.3, K=600, keep_history=False)[-1]
         move = np.linalg.norm(final2.m - final.m)
         assert move <= 1.2 * np.linalg.norm(dy) / c
+
+    @pytest.mark.parametrize("keep_history", [True, False])
+    def test_one_kernel_call_per_trial(self, mixed, monkeypatch, caplog, keep_history):
+        # without halvings, K steps make K + 1 fused value-and-gradient calls,
+        # and the carried gradient is the one ftap_grad computes
+        g, params = self._setup(mixed, 9, seed=15)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1].shape)
+            return kernel(*args)
+
+        kernel = tap._kernel
+        monkeypatch.setattr(tap, "_kernel", counted)
+        caplog.set_level(logging.DEBUG, logger="glasslocal.tap")
+        K, u0 = 12, np.zeros((3, 9))
+        states = ngd_run(g, u0, params, eta=0.05, K=K, keep_history=keep_history)
+        assert not [r for r in caplog.records if "halved eta" in r.getMessage()]
+        assert calls == [(3, 9)] * (K + 1)
+        final = states[-1]
+        want = np.linalg.norm(ftap_grad(g, final.m, params), axis=-1)
+        np.testing.assert_array_equal(final.grad_norm, want, strict=True)
 
     def test_parameter_validation(self, sk):
         g, params = self._setup(sk, 4, seed=14)
