@@ -11,14 +11,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.special import logsumexp
 
 from . import rng
 from .disorder import (
     ENUMERATION_CAP,
     DisorderTensors,
     GibbsQuery,
+    _logsumexp,
+    _symmetric,
     all_spins,
     hamiltonian,
     hamiltonian_table,
@@ -84,7 +84,7 @@ def exact_gibbs(g: DisorderTensors, beta, y: np.ndarray | None = None) -> ExactG
     y = np.zeros(n) if y is None else np.asarray(y, dtype=float)
     X = all_spins(n)
     logits = beta * hamiltonian_table(g) + X @ y
-    log_z = float(logsumexp(logits))
+    log_z = _logsumexp(logits)
     logw = logits - log_z
     w = np.exp(logw)
     mean = w @ X
@@ -139,8 +139,7 @@ def glauber_run(
     gen = rng.stream(seed, "glauber")
     quadratic_only = g.active_degrees() == [2]
     if quadratic_only:
-        G2 = g.tensors[2]
-        S = g.spec.c(2) / math.sqrt(n) * (G2 + G2.T)
+        S = g.spec.c(2) / math.sqrt(n) * _symmetric(g)[2]  # S_2 = G2 + G2^T
         field = S @ x
     out = []
     for sweep in range(sweeps):
@@ -169,7 +168,10 @@ def empirical_w2(a: SampleBatch, b: SampleBatch) -> float:
 
     Exact for empirical measures: optimal assignment under the cost
     ||x - y||^2 / n, returning the square root of the mean matched cost.
+    scipy is imported here, so only the callers of this function load it.
     """
+    from scipy.optimize import linear_sum_assignment
+
     if len(a) != len(b):
         raise ValueError("batches must have equal size")
     if len(a) > W2_BATCH_CAP:

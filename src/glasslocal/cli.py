@@ -36,7 +36,7 @@ from .experiments import chaos_experiment, stability_experiment
 from .localization import SamplerParams, sample
 from .mixture import MixtureSpec
 from .state_evolution import mse_prediction, psi_star, q_schedule, se_recursion, thresholds
-from .tap import TapParams, ftap_grad, ftap_value, relative_hessian_extremes
+from .tap import TapParams, _ftap, relative_hessian_extremes
 from .validate import run_validation
 
 __all__ = ["main"]
@@ -173,9 +173,10 @@ def _cmd_tap(cfg: dict) -> None:
     else:
         m = np.zeros(g.n)
     params = TapParams(beta=beta, q=cfg["tap"]["q"], gamma_reg=cfg["tap"]["gamma"], y=y)
-    grad_norm = np.linalg.norm(ftap_grad(g, m, params))
+    value, gvec = _ftap(g, m[None], params)  # one kernel call for both
+    grad_norm = np.linalg.norm(gvec[0])
     report = {
-        "ftap_value": ftap_value(g, m, params),
+        "ftap_value": value[0],
         "grad_norm": float(grad_norm),
         "grad_norm_per_sqrt_n": float(grad_norm / math.sqrt(g.n)),
         "n": g.n,

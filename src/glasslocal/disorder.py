@@ -1,27 +1,27 @@
 """Gaussian disorder tensors and the Hamiltonian they define.
 
 A disorder instance is one dense, raw (unsymmetrized) i.i.d. N(0,1) tensor
-per active degree p.  The gradient sums the p derivative slots of the raw
-contraction, which equals p times the symmetrized contraction without ever
-materializing a symmetrized copy.  One kernel gives both, on rows, in two
-contiguous BLAS passes per tensor: `X @ T.reshape(n, -1)` contracts slot 0,
-and a per-row chain over its (rows, n^(p-1)) result gives the value and slots
-1..p-1; `X @ T.reshape(-1, n).T` contracts slot p-1, and its chain gives slot
-0.  The value alone takes the first pass only.  Rows go through in blocks
-(`BLOCK_ENTRIES`).  All entries come from Philox streams keyed by (seed, p),
-so a planted instance shares its noise part bit-for-bit with the random
-instance of the same seed.
+per active degree p.  Evaluation runs on a private cache built from them on
+the first kernel call: per degree, S_p = (1/(p-1)!) sum over the p! slot
+permutations of T, so that contracting any p-1 slots of S_p with x gives
+the gradient of <T, x^(x)p> and one more dot with x gives p times its
+value.  One kernel gives both, on rows, in one contiguous BLAS pass per
+tensor, `X @ S.reshape(n, -1)`, and a per-row chain over its (rows,
+n^(p-1)) result; the cache doubles the tensor memory while an instance is
+evaluated.  Rows go through in blocks (`BLOCK_ENTRIES`).  All entries come
+from Philox streams keyed by (seed, p), so a planted instance shares its
+noise part bit-for-bit with the random instance of the same seed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import rng
 from .mixture import MixtureSpec
@@ -71,6 +71,8 @@ class DisorderTensors:
     seed: int
     kind: str = "random"  # random | planted | interpolated
     meta: dict = field(default_factory=dict)
+    # {p: S_p}, filled by `_symmetric` on the first kernel call
+    _sym: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def active_degrees(self) -> list[int]:
         return sorted(self.tensors)
@@ -194,49 +196,55 @@ def _rows(x, n: int):
     return x.reshape(-1, n), x.shape[:-1]
 
 
+def _symmetrize(T: np.ndarray) -> np.ndarray:
+    """S = (1/(p-1)!) sum_perm T.transpose(perm), summed in place in
+    `itertools.permutations` order; for p = 2 it is exactly T + T^T."""
+    S = T.copy()
+    for perm in itertools.islice(itertools.permutations(range(T.ndim)), 1, None):
+        S += T.transpose(perm)
+    if T.ndim > 2:
+        S /= math.factorial(T.ndim - 1)
+    return S
+
+
+def _symmetric(g: DisorderTensors) -> dict[int, np.ndarray]:
+    """The instance's cache {p: S_p}, built on first use."""
+    if not g._sym:
+        g._sym.update({p: _symmetrize(T) for p, T in g.tensors.items()})
+    return g._sym
+
+
 def _contract_last(S: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Contract the last slot of each row S[a], a flattened n^k tensor, with X[a]."""
     R, n = X.shape
     return (S.reshape(R, -1, n) @ X[:, :, None]).reshape(R, -1)
 
 
-def _degree(T: np.ndarray, X: np.ndarray, want_grad: bool):
-    """<T, x^(x)p> per row and, if `want_grad`, the sum of its p slot derivatives."""
+def _degree(S: np.ndarray, X: np.ndarray):
+    """<T, x^(x)p> per row and its gradient, from the symmetrized S = S_p."""
     R, n = X.shape
-    A = X @ T.reshape(n, -1)  # leading pass: slots 1..p-1 are left
-    G = np.zeros_like(X) if want_grad else None
-    for k in range(T.ndim - 1, 0, -1):  # A holds slots 1..k
-        if want_grad:
-            S = A
-            for _ in range(k - 1):  # contract the first slot
-                S = (X[:, None, :] @ S.reshape(R, n, -1)).reshape(R, -1)
-            G += S  # derivative in slot k
+    A = X @ S.reshape(n, -1)  # the one pass: slots 1..p-1 are left
+    for _ in range(S.ndim - 2):
         A = _contract_last(A, X)
-    if want_grad:
-        B = X @ T.reshape(-1, n).T  # trailing pass: slots 0..p-2 are left
-        for _ in range(T.ndim - 2):
-            B = _contract_last(B, X)
-        G += B  # derivative in slot 0
-    return A[:, 0], G
+    return _contract_last(A, X)[:, 0] / S.ndim, A  # A is the gradient
 
 
-def _kernel(g: DisorderTensors, X: np.ndarray, want_grad: bool):
-    """H on rows X (M, n) and, if `want_grad`, grad H (M, n), else None.
+def _kernel(g: DisorderTensors, X: np.ndarray):
+    """H (M,) and grad H (M, n) on rows X (M, n), one pass per tensor.
     Blocks and contractions run in a fixed order, so results are reproducible
-    bit-for-bit, and the value does not depend on `want_grad`."""
+    bit-for-bit."""
     if not np.all(np.isfinite(X)):
         raise ValueError("x must be finite")
     M, n = X.shape
     val = np.zeros(M)
-    gr = np.zeros((M, n)) if want_grad else None
-    for p, T in g.tensors.items():
+    gr = np.zeros((M, n))
+    for p, S in _symmetric(g).items():
         scale = g.spec.c(p) / n ** ((p - 1) / 2)
         rows = max(1, BLOCK_ENTRIES // n ** (p - 1), n // 4)
         for lo in range(0, M, rows):
-            v, d = _degree(T, X[lo : lo + rows], want_grad)
+            v, d = _degree(S, X[lo : lo + rows])
             val[lo : lo + rows] += scale * v
-            if want_grad:
-                gr[lo : lo + rows] += scale * d
+            gr[lo : lo + rows] += scale * d
     return val, gr
 
 
@@ -244,39 +252,30 @@ def hamiltonian(g: DisorderTensors, x: np.ndarray):
     """H(x) = sum_p c_p n^{-(p-1)/2} <G^(p), x^(x)p>, one pass per tensor.
     A vector (n,) gives a scalar and a batch (M, n) gives (M,)."""
     X, lead = _rows(x, g.n)
-    return _kernel(g, X, False)[0].reshape(lead)[()]
+    return _kernel(g, X)[0].reshape(lead)[()]
 
 
 def grad(g: DisorderTensors, m: np.ndarray):
-    """Exact gradient of the Hamiltonian, the sum over derivative slots: two
-    passes per tensor."""
+    """Exact gradient of the Hamiltonian, the same one pass per tensor."""
     X, lead = _rows(m, g.n)
-    return _kernel(g, X, True)[1].reshape(lead + (g.n,))
+    return _kernel(g, X)[1].reshape(lead + (g.n,))
 
 
 def hessian(g: DisorderTensors, m: np.ndarray, cap: int = HESSIAN_CAP) -> np.ndarray:
-    """Exact Hessian of the Hamiltonian, symmetric by construction.
-
-    For each slot pair s1 < s2, the other p-2 slots of the raw tensor are
-    contracted with m by reshape and matmul (the slots before s1, between
-    s1 and s2, and after s2, one group each), leaving an (n, n) block B over
-    (i_s1, i_s2); the pair adds B + B^T.
-    """
+    """Exact Hessian of the Hamiltonian: per degree, (p-1) scale S_p with its
+    first p-2 slots contracted with m, one reshape and matmul.  S_p is
+    symmetric up to rounding, so the sum is symmetrized once at the end."""
     if g.n > cap:
         raise ValueError(f"Hessian cap exceeded: n={g.n} > {cap}")
     mv = np.asarray(m, dtype=float)
     if mv.shape != (g.n,):
         raise ValueError("hessian takes a single vector")
-    out = np.zeros((g.n, g.n))
-    for p, T in g.tensors.items():
-        scale = g.spec.c(p) / g.n ** ((p - 1) / 2)
-        for s1 in range(p):
-            for s2 in range(s1 + 1, p):
-                lead, mid, tail = (_power(mv, k) for k in (s1, s2 - s1 - 1, p - 1 - s2))
-                B = (lead @ T.reshape(lead.size, -1)).reshape(-1, tail.size) @ tail
-                block = mid @ B.reshape(g.n, mid.size, g.n)
-                out += scale * (block + block.T)
-    return out
+    n = g.n
+    out = np.zeros((n, n))
+    for p, S in _symmetric(g).items():
+        scale = g.spec.c(p) / n ** ((p - 1) / 2)
+        out += (p - 1) * scale * (_power(mv, p - 2) @ S.reshape(-1, n * n)).reshape(n, n)
+    return 0.5 * (out + out.T)
 
 
 def all_spins(n: int) -> np.ndarray:
@@ -303,7 +302,19 @@ def partition_rescaled(g: DisorderTensors, beta: float, cap: int = ENUMERATION_C
         raise ValueError(f"enumeration cap exceeded: n={g.n} > {cap}")
     H = hamiltonian_table(g)
     shift = g.n * math.log(2.0) + 0.5 * g.n * beta * beta * g.spec.xi(1.0)
-    return float(np.exp(logsumexp(beta * H) - shift))
+    return float(np.exp(_logsumexp(beta * H) - shift))
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """log sum_i exp(a_i) over a finite array, as scipy computes it: the
+    maxima are taken out of the sum, log(k) + log1p(rest / k) + max."""
+    a = np.asarray(a, dtype=float)
+    top = a.max()
+    is_top = a == top
+    k = float(np.count_nonzero(is_top))
+    e = np.exp(a - top)
+    e[is_top] = 0.0
+    return float(np.log1p(e.sum() / k) + np.log(k) + top)
 
 
 # --- tensor file format -----------------------------------------------------
@@ -359,11 +370,7 @@ def read_tensors(path) -> DisorderTensors:
         if size != expected:
             problem = "body truncated" if size < expected else "has trailing bytes"
             raise ValueError(f"tensor file {problem}: {size} bytes, expected {expected}")
-        tensors = {}
-        for p in sorted(csq):
-            count = n**p
-            buf = np.frombuffer(f.read(count * 8), dtype="<f8", count=count)
-            tensors[p] = buf.astype(float).reshape((n,) * p)
+        tensors = {p: np.fromfile(f, "<f8", n**p).reshape((n,) * p) for p in sorted(csq)}
     return DisorderTensors(
         n=n, spec=spec, tensors=tensors, seed=seed, kind=_TAG_KINDS.get(tag, "other")
     )

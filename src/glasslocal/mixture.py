@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import xlogy
 
 __all__ = ["MixtureSpec", "binary_entropy", "binary_entropy_sum"]
 
@@ -113,26 +112,29 @@ class MixtureSpec:
         return float(sum(csq * p**ell for p, csq in self.coeffs))
 
 
-def binary_entropy(m):
-    """h(m) = -((1+m)/2)log((1+m)/2) - ((1-m)/2)log((1-m)/2) on [-1, 1].
-
-    The boundary convention h(+-1) = 0 is exact (0 log 0 = 0 via xlogy).
-    Accepts scalars or arrays.
-    """
+def _entropy_terms(m) -> np.ndarray:
+    """-(a log a + b log b) per entry, a = (1+m)/2, b = (1-m)/2, 0 log 0 = 0."""
     m_arr = np.asarray(m, dtype=float)
     if np.any(np.abs(m_arr) > 1.0):
         raise ValueError("binary entropy requires |m| <= 1")
-    a = (1.0 + m_arr) / 2.0
-    b = (1.0 - m_arr) / 2.0
-    out = -(xlogy(a, a) + xlogy(b, b))
+    out = 0.0
+    for a in ((1.0 + m_arr) / 2.0, (1.0 - m_arr) / 2.0):
+        log_a = np.zeros_like(a)
+        np.log(a, out=log_a, where=a > 0)
+        out = out + a * log_a
+    return -out
+
+
+def binary_entropy(m):
+    """h(m) = -((1+m)/2)log((1+m)/2) - ((1-m)/2)log((1-m)/2) on [-1, 1].
+
+    The boundary convention h(+-1) = 0 is exact (0 log 0 = 0).  Accepts
+    scalars or arrays.
+    """
+    out = _entropy_terms(m)
     return out if isinstance(m, np.ndarray) else float(out)
 
 
 def binary_entropy_sum(m) -> float:
     """sum_i h(m_i) for a vector (or batch, summed over the last axis)."""
-    m_arr = np.asarray(m, dtype=float)
-    if np.any(np.abs(m_arr) > 1.0):
-        raise ValueError("binary entropy requires |m| <= 1")
-    a = (1.0 + m_arr) / 2.0
-    b = (1.0 - m_arr) / 2.0
-    return -(xlogy(a, a) + xlogy(b, b)).sum(axis=-1)
+    return _entropy_terms(m).sum(axis=-1)

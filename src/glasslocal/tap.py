@@ -90,13 +90,13 @@ def _check_interior(m: np.ndarray) -> None:
         raise ValueError("m must lie strictly inside (-1, 1)^n")
 
 
-def _ftap(g: DisorderTensors, M: np.ndarray, params: TapParams, want_grad: bool):
-    """Value (rows,) of the modified free energy at interior rows M and, if
-    `want_grad`, its gradient (rows, n), else None: one kernel call."""
+def _ftap(g: DisorderTensors, M: np.ndarray, params: TapParams):
+    """Value (rows,) of the modified free energy at interior rows M and its
+    gradient (rows, n), from one kernel call."""
     _check_interior(M)
     n = g.n
     beta, q, gam = params.beta, params.q, params.gamma_reg
-    h, dh = _kernel(g, M, want_grad)
+    h, dh = _kernel(g, M)
     Q = np.sum(M * M, axis=-1) / n
     # the tilt supports y as a shared (n,) vector or per-row (M, n)
     y = params.y
@@ -108,28 +108,27 @@ def _ftap(g: DisorderTensors, M: np.ndarray, params: TapParams, want_grad: bool)
         - n * (ons(g.spec, beta, q) + ons_prime(g.spec, beta, q) * (Q - q))
         + n * gam * beta / 8.0 * (Q - q) ** 2
     )
-    if want_grad:
-        dh = (
-            -beta * dh
-            - y
-            + np.arctanh(M)
-            + (beta * beta * (1.0 - q) * g.spec.xi(q, order=2)) * M
-            + (0.5 * gam * beta) * (Q - q)[:, None] * M
-        )
-    return val, dh
+    dval = (
+        -beta * dh
+        - y
+        + np.arctanh(M)
+        + (beta * beta * (1.0 - q) * g.spec.xi(q, order=2)) * M
+        + (0.5 * gam * beta) * (Q - q)[:, None] * M
+    )
+    return val, dval
 
 
 def ftap_value(g: DisorderTensors, m: np.ndarray, params: TapParams):
     """Value of the modified free energy at interior m (vector or batch)."""
     M, lead = _rows(m, g.n)
-    return _ftap(g, M, params, False)[0].reshape(lead)[()]
+    return _ftap(g, M, params)[0].reshape(lead)[()]
 
 
 def ftap_grad(g: DisorderTensors, m: np.ndarray, params: TapParams):
     """Gradient: -beta grad H - y + atanh(m) + beta^2 (1-q) xi''(q) m
     + (Gamma beta / 2)(Q(m) - q) m."""
     M, lead = _rows(m, g.n)
-    return _ftap(g, M, params, True)[1].reshape(lead + (g.n,))
+    return _ftap(g, M, params)[1].reshape(lead + (g.n,))
 
 
 def ftap_hessian(g: DisorderTensors, m: np.ndarray, params: TapParams) -> np.ndarray:
@@ -204,7 +203,7 @@ def ngd_run(
         raise ValueError("K must be >= 1")
     U, lead = _rows(u0, g.n)
     M = _clip_interior(np.tanh(U))
-    f, gvec = _ftap(g, M, params, True)
+    f, gvec = _ftap(g, M, params)
 
     def _mk_state(U, Mm, f, gvec):
         return TapIterate(
@@ -223,7 +222,7 @@ def ngd_run(
         for attempt in range(max_halvings + 1):
             U_try = U - eta_row[:, None] * gvec
             M_try = _clip_interior(np.tanh(U_try))
-            f_try, g_try = _ftap(g, M_try, params, True)
+            f_try, g_try = _ftap(g, M_try, params)
             bad = f_try > f + noise_tol
             if not np.any(bad):
                 break

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import glasslocal
 from glasslocal.cli import main
 from glasslocal.config import CONFIG_SCHEMA, resolve_config, ConfigError
 from glasslocal.disorder import read_tensors
@@ -10,6 +14,16 @@ from glasslocal.disorder import read_tensors
 
 def run_cli(*args):
     return main(list(args))
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported only inside empirical_w2 (w2, chaos and validate)
+    src = os.path.dirname(os.path.dirname(glasslocal.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, glasslocal.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 class TestConfig:

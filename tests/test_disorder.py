@@ -16,7 +16,9 @@ from glasslocal import (
     read_tensors,
     write_tensors,
 )
-from glasslocal.disorder import BLOCK_ENTRIES, all_spins
+from glasslocal import disorder
+from glasslocal.disorder import BLOCK_ENTRIES, DisorderTensors, _logsumexp, all_spins
+from glasslocal.tap import TapParams, ngd_run
 
 REFERENCE_SPECS = [((2, 0.5),), ((3, 0.7),), ((4, 0.2),), ((2, 0.5), (3, 0.7), (4, 0.2))]
 
@@ -233,6 +235,65 @@ class TestPartition:
         g = gen_random(sk, 8, seed=0)
         with pytest.raises(ValueError):
             partition_rescaled(g, 0.5, cap=6)
+
+    def test_logsumexp_against_scipy(self, gen):
+        from scipy.special import logsumexp
+
+        cases = [
+            30.0 * gen.standard_normal(4096),
+            gen.standard_normal(1000) - 800.0,
+            np.array([2.0, 2.0, -1.0]),
+            np.array([5.0]),
+        ]
+        for a in cases:
+            np.testing.assert_allclose(_logsumexp(a), logsumexp(a), rtol=1e-14, atol=0)
+
+
+class TestSymmetricCache:
+    def test_built_once_per_instance(self, mixed, monkeypatch):
+        # one S_p per degree across a whole NGD run, the Hessian and a
+        # Hamiltonian call; the cache stays out of repr and ==
+        built = []
+
+        def counted(T):
+            built.append(T.ndim)
+            return symmetrize(T)
+
+        symmetrize = disorder._symmetrize
+        monkeypatch.setattr(disorder, "_symmetrize", counted)
+        g = gen_random(mixed, 6, seed=21)
+        params = TapParams(beta=0.4, q=0.2, gamma_reg=1.0, y=np.full(6, 0.1))
+        ngd_run(g, np.zeros((2, 6)), params, eta=0.05, K=10)
+        hessian(g, np.full(6, 0.3))
+        hamiltonian(g, np.ones(6))
+        assert sorted(built) == [2, 3, 4]
+        assert "_sym" not in repr(g)
+        fresh = DisorderTensors(n=g.n, spec=g.spec, tensors=g.tensors, seed=g.seed)
+        assert not fresh._sym and fresh == g
+
+    def test_derived_instances_have_their_own(self, mixed, gen):
+        # evaluate the sources first: a derived instance must not see their
+        # caches, even where it shares a seed (planted) or equals one (s = 0, 1)
+        n = 5
+        g0, g1 = gen_random(mixed, n, seed=1), gen_random(mixed, n, seed=2)
+        X = gen.uniform(-1, 1, (3, n))
+        grad(g0, X)
+        grad(g1, X)
+        x = np.where(gen.uniform(size=n) < 0.5, -1.0, 1.0)
+        derived = [interpolate(g0, g1, s) for s in (0.0, 0.3, 1.0)]
+        derived.append(gen_planted(mixed, n, 2.0, x, seed=1))
+        for h in derived:
+            assert not h._sym
+            want_val, want_grad = _reference(h, X)
+            np.testing.assert_allclose(hamiltonian(h, X), want_val, rtol=1e-12)
+            np.testing.assert_allclose(grad(h, X), want_grad, rtol=1e-12)
+            for p, S in h._sym.items():
+                assert S is not g0._sym[p] and S is not g1._sym[p]
+
+    def test_sk_cache_is_g_plus_transpose(self, sk):
+        g = gen_random(sk, 9, seed=4)
+        G2 = g.tensors[2]
+        np.testing.assert_array_equal(disorder._symmetric(g)[2], G2 + G2.T, strict=True)
 
 
 class TestTensorFile:

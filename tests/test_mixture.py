@@ -95,3 +95,15 @@ class TestBinaryEntropy:
     def test_domain(self):
         with pytest.raises(ValueError):
             binary_entropy(1.0001)
+
+    def test_against_scipy_xlogy(self, gen):
+        from scipy.special import xlogy
+
+        m = np.concatenate([[-1.0, 1.0, 0.0, 1 - 1e-12], gen.uniform(-1, 1, 200)])
+        a, b = (1 + m) / 2, (1 - m) / 2
+        want = -(xlogy(a, a) + xlogy(b, b))
+        np.testing.assert_allclose(binary_entropy(m), want, rtol=1e-14, atol=0)
+        assert binary_entropy(m[:2]).tolist() == [0.0, 0.0]
+        np.testing.assert_allclose(
+            binary_entropy_sum(m.reshape(4, 51)), want.reshape(4, 51).sum(-1), rtol=1e-14, atol=0
+        )
