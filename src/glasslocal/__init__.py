@@ -2,7 +2,7 @@
 localization, with the scalar state-evolution theory, exact small-n oracles
 and experiment harnesses."""
 
-from .mixture import MixtureSpec, binary_entropy, binary_entropy_sum
+from .mixture import MixtureSpec, binary_entropy, binary_entropy_sum, ons, ons_prime, onsager
 from .scalar import QuadratureRule, mutual_info_scalar, phi, phi_prime, psi, psi_prime
 from .state_evolution import (
     SEProfile,
@@ -31,7 +31,7 @@ from .disorder import (
     read_tensors,
     write_tensors,
 )
-from .amp import AmpState, amp_lipschitz_probe, amp_run, onsager
+from .amp import AmpState, amp_lipschitz_probe, amp_run
 from .tap import (
     TapIterate,
     TapParams,
@@ -40,8 +40,6 @@ from .tap import (
     ftap_hessian,
     ftap_value,
     ngd_run,
-    ons,
-    ons_prime,
     relative_hessian_extremes,
 )
 from .localization import (

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import DisorderTensors, _rows, grad
-from .mixture import MixtureSpec
+from .mixture import onsager
 
 __all__ = ["AmpState", "amp_run", "onsager", "amp_lipschitz_probe"]
 
@@ -39,15 +39,6 @@ class AmpState:
     z: np.ndarray
     q_hat: float | np.ndarray
     onsager_b: float | np.ndarray
-
-
-def onsager(spec: MixtureSpec, beta: float, q_hat) -> float:
-    """Memory-correction scalar b = beta^2 (1 - q_hat) xi''(q_hat)."""
-    q = np.asarray(q_hat, dtype=float)
-    if np.any((q < 0) | (q > 1)):
-        raise ValueError("q_hat must lie in [0, 1]")
-    out = beta * beta * (1.0 - q) * spec.xi(q, order=2)
-    return float(out) if np.ndim(q_hat) == 0 else out
 
 
 def amp_run(

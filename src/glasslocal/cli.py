@@ -36,7 +36,7 @@ from .experiments import chaos_experiment, stability_experiment
 from .localization import SamplerParams, sample
 from .mixture import MixtureSpec
 from .state_evolution import mse_prediction, psi_star, q_schedule, se_recursion, thresholds
-from .tap import TapParams, _ftap, relative_hessian_extremes
+from .tap import TapParams, _clip_interior, _ftap, _onsager_terms, relative_hessian_extremes
 from .validate import run_validation
 
 __all__ = ["main"]
@@ -169,11 +169,11 @@ def _cmd_tap(cfg: dict) -> None:
         y = np.zeros(g.n)
     if cfg["tap"]["m_source"] == "amp":
         m = amp_run(g, y, beta, cfg["tap"]["k_amp"], keep_history=False)[-1].m_hat
-        m = np.clip(m, -1 + 1e-12, 1 - 1e-12)
+        m = _clip_interior(m)
     else:
         m = np.zeros(g.n)
     params = TapParams(beta=beta, q=cfg["tap"]["q"], gamma_reg=cfg["tap"]["gamma"], y=y)
-    value, gvec = _ftap(g, m[None], params)  # one kernel call for both
+    value, gvec = _ftap(g, m[None], params, *_onsager_terms(g, params))  # one kernel call
     grad_norm = np.linalg.norm(gvec[0])
     report = {
         "ftap_value": value[0],

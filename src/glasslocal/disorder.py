@@ -232,9 +232,7 @@ def _degree(S: np.ndarray, X: np.ndarray):
 def _kernel(g: DisorderTensors, X: np.ndarray):
     """H (M,) and grad H (M, n) on rows X (M, n), one pass per tensor.
     Blocks and contractions run in a fixed order, so results are reproducible
-    bit-for-bit."""
-    if not np.all(np.isfinite(X)):
-        raise ValueError("x must be finite")
+    bit-for-bit.  Unchecked: the public entries check their input."""
     M, n = X.shape
     val = np.zeros(M)
     gr = np.zeros((M, n))
@@ -252,12 +250,16 @@ def hamiltonian(g: DisorderTensors, x: np.ndarray):
     """H(x) = sum_p c_p n^{-(p-1)/2} <G^(p), x^(x)p>, one pass per tensor.
     A vector (n,) gives a scalar and a batch (M, n) gives (M,)."""
     X, lead = _rows(x, g.n)
+    if not np.all(np.isfinite(X)):
+        raise ValueError("x must be finite")
     return _kernel(g, X)[0].reshape(lead)[()]
 
 
 def grad(g: DisorderTensors, m: np.ndarray):
     """Exact gradient of the Hamiltonian, the same one pass per tensor."""
     X, lead = _rows(m, g.n)
+    if not np.all(np.isfinite(X)):
+        raise ValueError("x must be finite")
     return _kernel(g, X)[1].reshape(lead + (g.n,))
 
 

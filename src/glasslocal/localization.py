@@ -52,8 +52,8 @@ class SamplerParams:
     keep_trajectory: bool = False
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
         if self.L < 1 or self.k_amp < 1 or self.k_ngd < 1:
             raise ValueError("iteration counts must be >= 1")
 

@@ -1,4 +1,5 @@
-"""Mixture polynomial xi(t) = sum_p c_p^2 t^p and the binary entropy h.
+"""Mixture polynomial xi(t) = sum_p c_p^2 t^p, the Onsager terms built from
+it, and the binary entropy h.
 
 The mixture is stored through the squared coefficients c_p^2 (the canonical
 parameterization: it avoids any sign ambiguity, and c_p is recovered by a
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["MixtureSpec", "binary_entropy", "binary_entropy_sum"]
+__all__ = ["MixtureSpec", "ons", "ons_prime", "onsager", "binary_entropy", "binary_entropy_sum"]
 
 #: Largest degree for which dense tensors are supported.
 TENSOR_DEGREE_CAP = 4
@@ -103,7 +104,7 @@ class MixtureSpec:
                 continue
             fall = math.perm(p, order)  # p! / (p-order)!
             out = out + csq * fall * t_arr ** (p - order)
-        return out if isinstance(t, np.ndarray) else float(out)
+        return out[()]
 
     def xi_hat(self, ell: int) -> float:
         """sum_p c_p^2 p^ell."""
@@ -112,13 +113,31 @@ class MixtureSpec:
         return float(sum(csq * p**ell for p, csq in self.coeffs))
 
 
+def ons(spec: MixtureSpec, beta: float, q):
+    """Per-site Onsager term (beta^2/2)(xi(1) - xi(q) - (1-q) xi'(q))."""
+    q = np.asarray(q, dtype=float)
+    return (0.5 * beta * beta * (spec.xi(1.0) - spec.xi(q) - (1.0 - q) * spec.xi(q, order=1)))[()]
+
+
+def onsager(spec: MixtureSpec, beta: float, q):
+    """b(q) = beta^2 (1 - q) xi''(q) for q in [0, 1]: AMP's memory coefficient,
+    and -2 ons'(q), the curvature the TAP functional's Onsager term adds."""
+    q = np.asarray(q, dtype=float)
+    if not np.all((q >= 0) & (q <= 1)):
+        raise ValueError("q must lie in [0, 1]")
+    return (beta * beta * (1.0 - q) * spec.xi(q, order=2))[()]
+
+
+def ons_prime(spec: MixtureSpec, beta: float, q):
+    """d ons / dq = -b(q) / 2 (matches finite differences)."""
+    return -0.5 * onsager(spec, beta, q)
+
+
 def _entropy_terms(m) -> np.ndarray:
-    """-(a log a + b log b) per entry, a = (1+m)/2, b = (1-m)/2, 0 log 0 = 0."""
-    m_arr = np.asarray(m, dtype=float)
-    if np.any(np.abs(m_arr) > 1.0):
-        raise ValueError("binary entropy requires |m| <= 1")
+    """-(a log a + b log b) per entry, a = (1+m)/2, b = (1-m)/2, 0 log 0 = 0.
+    Unchecked: the public entries check |m| <= 1."""
     out = 0.0
-    for a in ((1.0 + m_arr) / 2.0, (1.0 - m_arr) / 2.0):
+    for a in ((1.0 + m) / 2.0, (1.0 - m) / 2.0):
         log_a = np.zeros_like(a)
         np.log(a, out=log_a, where=a > 0)
         out = out + a * log_a
@@ -131,10 +150,12 @@ def binary_entropy(m):
     The boundary convention h(+-1) = 0 is exact (0 log 0 = 0).  Accepts
     scalars or arrays.
     """
-    out = _entropy_terms(m)
-    return out if isinstance(m, np.ndarray) else float(out)
+    m = np.asarray(m, dtype=float)
+    if not np.all(np.abs(m) <= 1.0):
+        raise ValueError("binary entropy requires |m| <= 1")
+    return _entropy_terms(m)[()]
 
 
 def binary_entropy_sum(m) -> float:
     """sum_i h(m_i) for a vector (or batch, summed over the last axis)."""
-    return _entropy_terms(m).sum(axis=-1)
+    return binary_entropy(m).sum(axis=-1)

@@ -59,11 +59,12 @@ class QuadratureRule:
 DEFAULT_RULE = QuadratureRule.gauss_hermite(301)
 
 
-def _check_nonneg(gamma):
+def _flat_nonneg(gamma):
+    """gamma as a flat array, checked nonnegative, and its shape."""
     g = np.asarray(gamma, dtype=float)
     if np.any(g < 0):
         raise ValueError("gamma must be nonnegative")
-    return g
+    return g.reshape(-1), g.shape
 
 
 def psi(gamma, rule: QuadratureRule = DEFAULT_RULE):
@@ -71,9 +72,7 @@ def psi(gamma, rule: QuadratureRule = DEFAULT_RULE):
 
     Accepts scalars or arrays.
     """
-    g = _check_nonneg(gamma)
-    scalar = g.ndim == 0
-    g = np.atleast_1d(g)
+    g, shape = _flat_nonneg(gamma)
     out = np.empty_like(g)
     small = g <= LARGE_GAMMA
     if np.any(small):
@@ -83,7 +82,7 @@ def psi(gamma, rule: QuadratureRule = DEFAULT_RULE):
     if np.any(~small):
         gl = g[~small]
         out[~small] = 1.0 - np.sqrt(np.pi / (2.0 * gl)) * np.exp(-gl / 2.0)
-    return float(out[0]) if scalar else out
+    return out.reshape(shape)[()]
 
 
 def psi_prime(gamma, rule: QuadratureRule = DEFAULT_RULE):
@@ -93,9 +92,7 @@ def psi_prime(gamma, rule: QuadratureRule = DEFAULT_RULE):
     integrand reduces to (1 - T^2)(1 + 2T - 3T^2); at gamma = 0 the analytic
     value 1 is returned exactly.
     """
-    g = _check_nonneg(gamma)
-    scalar = g.ndim == 0
-    g = np.atleast_1d(g)
+    g, shape = _flat_nonneg(gamma)
     out = np.empty_like(g)
     zero = g == 0.0
     large = g > LARGE_GAMMA
@@ -111,7 +108,7 @@ def psi_prime(gamma, rule: QuadratureRule = DEFAULT_RULE):
         # derivative of the asymptotic tail; numerically 0 at this range
         k = np.sqrt(np.pi / 2.0)
         out[large] = k * np.exp(-gl / 2.0) * (0.5 * gl**-0.5 + 0.5 * gl**-1.5)
-    return float(out[0]) if scalar else out
+    return out.reshape(shape)[()]
 
 
 def phi(q, rule: QuadratureRule = DEFAULT_RULE, tol: float = 1e-11, max_iter: int = 200):
@@ -123,8 +120,7 @@ def phi(q, rule: QuadratureRule = DEFAULT_RULE, tol: float = 1e-11, max_iter: in
     q_arr = np.asarray(q, dtype=float)
     if np.any((q_arr < 0) | (q_arr >= 1)):
         raise ValueError("phi requires q in [0, 1)")
-    scalar = q_arr.ndim == 0
-    qv = np.atleast_1d(q_arr).astype(float)
+    qv = q_arr.reshape(-1)
     lo = np.zeros_like(qv)
     hi = np.ones_like(qv)
     # expand the bracket until psi(hi) >= q everywhere
@@ -156,7 +152,7 @@ def phi(q, rule: QuadratureRule = DEFAULT_RULE, tol: float = 1e-11, max_iter: in
     else:
         raise RuntimeError("phi: root finding did not converge")
     g[qv == 0.0] = 0.0
-    return float(g[0]) if scalar else g
+    return g.reshape(q_arr.shape)[()]
 
 
 def phi_prime(q, rule: QuadratureRule = DEFAULT_RULE):
@@ -171,10 +167,7 @@ def _log_cosh(x):
 
 def mutual_info_scalar(gamma, rule: QuadratureRule = DEFAULT_RULE):
     """I(gamma) = gamma - E[log cosh(gamma + sqrt(gamma) Z)], in [0, log 2]."""
-    g = _check_nonneg(gamma)
-    scalar = g.ndim == 0
-    g = np.atleast_1d(g)
+    g, shape = _flat_nonneg(gamma)
     v = g[:, None] + np.sqrt(g)[:, None] * rule.nodes
     out = g - _log_cosh(v) @ rule.weights
-    out = np.clip(out, 0.0, _LOG2)
-    return float(out[0]) if scalar else out
+    return np.clip(out, 0.0, _LOG2).reshape(shape)[()]

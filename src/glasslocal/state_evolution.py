@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mixture import MixtureSpec, binary_entropy
+from .mixture import MixtureSpec, binary_entropy, ons
 from .scalar import DEFAULT_RULE, QuadratureRule, mutual_info_scalar, phi, phi_prime, psi
 
 __all__ = [
@@ -98,7 +98,7 @@ class ThresholdReport:
 
 def se_map(spec: MixtureSpec, beta: float, t: float, q, rule: QuadratureRule = DEFAULT_RULE):
     """One step of the recursion: f_t(q) = psi(beta^2 xi'(q) + t)."""
-    return psi(beta * beta * spec.xi(np.asarray(q, dtype=float), order=1) + t, rule)
+    return psi(beta * beta * spec.xi(q, order=1) + t, rule)
 
 
 def se_recursion(
@@ -117,8 +117,8 @@ def se_recursion(
     most `tol` before the iteration cap.  Non-convergence is reported through
     the flag, not an exception.
     """
-    if beta < 0 or t < 0:
-        raise ValueError("beta and t must be nonnegative")
+    if not (0.0 <= beta < math.inf and 0.0 <= t < math.inf):
+        raise ValueError("beta and t must be finite and nonnegative")
     if K < 1:
         raise ValueError("K must be >= 1")
     qs = np.zeros(K + 1)
@@ -397,8 +397,7 @@ def psi_star(
         )
     prof = se_recursion(spec, beta, t, K=1, rule=rule)
     q = prof.q_star
-    ons = 0.5 * beta * beta * (spec.xi(1.0) - spec.xi(q) - (1.0 - q) * spec.xi(q, order=1))
-    return float(ons + mutual_info_scalar(beta * beta * spec.xi(q, order=1) + t, rule))
+    return float(ons(spec, beta, q) + mutual_info_scalar(beta * beta * spec.xi(q, order=1) + t, rule))
 
 
 def q_schedule(
@@ -409,8 +408,8 @@ def q_schedule(
     rule: QuadratureRule = DEFAULT_RULE,
 ) -> QSchedule:
     """Table of fixed points q_*(beta, ell*delta) for ell = 0..L."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
     if L < 1:
         raise ValueError("L must be >= 1")
     values = np.zeros(L + 1)

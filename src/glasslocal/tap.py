@@ -7,9 +7,10 @@ The functional over magnetizations m in (-1,1)^n is
                  + (n Gamma beta / 8) (Q(m) - q)^2,
 
 with Q(m) = ||m||^2/n and the per-site Onsager term
-ons(Q) = (beta^2/2)(xi(1) - xi(Q) - (1-Q) xi'(Q)).  NGD performs plain
-gradient steps in the natural parameter u = atanh(m), which is mirror
-descent under the binary-entropy Bregman divergence.
+ons(Q) = (beta^2/2)(xi(1) - xi(Q) - (1-Q) xi'(Q)) and ons' = -b/2, b the AMP
+memory coefficient (`mixture` holds both; NGD evaluates them once per run).
+NGD performs plain gradient steps in the natural parameter u = atanh(m), which
+is mirror descent under the binary-entropy Bregman divergence.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import DisorderTensors, _kernel, _rows, hessian
-from .mixture import MixtureSpec, binary_entropy_sum
+from .mixture import _entropy_terms, ons, ons_prime, onsager
 
 __all__ = [
     "TapParams",
@@ -71,29 +72,19 @@ class TapIterate:
     grad_norm: float | np.ndarray
 
 
-def ons(spec: MixtureSpec, beta: float, Q) -> float:
-    """Per-site Onsager term (beta^2/2)(xi(1) - xi(Q) - (1-Q) xi'(Q))."""
-    Qa = np.asarray(Q, dtype=float)
-    out = 0.5 * beta * beta * (spec.xi(1.0) - spec.xi(Qa) - (1.0 - Qa) * spec.xi(Qa, order=1))
-    return float(out) if np.ndim(Q) == 0 else out
-
-
-def ons_prime(spec: MixtureSpec, beta: float, Q) -> float:
-    """d ons / dQ = -(beta^2/2)(1-Q) xi''(Q) (matches finite differences)."""
-    Qa = np.asarray(Q, dtype=float)
-    out = -0.5 * beta * beta * (1.0 - Qa) * spec.xi(Qa, order=2)
-    return float(out) if np.ndim(Q) == 0 else out
-
-
 def _check_interior(m: np.ndarray) -> None:
-    if np.any(np.abs(m) >= 1.0):
-        raise ValueError("m must lie strictly inside (-1, 1)^n")
+    if not np.all(np.abs(m) < 1.0):
+        raise ValueError("m must be finite and lie strictly inside (-1, 1)^n")
 
 
-def _ftap(g: DisorderTensors, M: np.ndarray, params: TapParams):
-    """Value (rows,) of the modified free energy at interior rows M and its
-    gradient (rows, n), from one kernel call."""
-    _check_interior(M)
+def _onsager_terms(g: DisorderTensors, params: TapParams):
+    """(ons(q), b(q)), the functional's constants at its linearization point."""
+    return ons(g.spec, params.beta, params.q), onsager(g.spec, params.beta, params.q)
+
+
+def _ftap(g: DisorderTensors, M: np.ndarray, params: TapParams, ons_q, b):
+    """Value (rows,) and gradient (rows, n) of the modified free energy at rows
+    M that the caller keeps interior, from one kernel call; (ons_q, b) = `_onsager_terms`."""
     n = g.n
     beta, q, gam = params.beta, params.q, params.gamma_reg
     h, dh = _kernel(g, M)
@@ -104,15 +95,15 @@ def _ftap(g: DisorderTensors, M: np.ndarray, params: TapParams):
     val = (
         -beta * h
         - tilt
-        - binary_entropy_sum(M)
-        - n * (ons(g.spec, beta, q) + ons_prime(g.spec, beta, q) * (Q - q))
+        - _entropy_terms(M).sum(axis=-1)
+        - n * (ons_q + (-0.5 * b) * (Q - q))
         + n * gam * beta / 8.0 * (Q - q) ** 2
     )
     dval = (
         -beta * dh
         - y
         + np.arctanh(M)
-        + (beta * beta * (1.0 - q) * g.spec.xi(q, order=2)) * M
+        + b * M
         + (0.5 * gam * beta) * (Q - q)[:, None] * M
     )
     return val, dval
@@ -121,19 +112,20 @@ def _ftap(g: DisorderTensors, M: np.ndarray, params: TapParams):
 def ftap_value(g: DisorderTensors, m: np.ndarray, params: TapParams):
     """Value of the modified free energy at interior m (vector or batch)."""
     M, lead = _rows(m, g.n)
-    return _ftap(g, M, params)[0].reshape(lead)[()]
+    _check_interior(M)
+    return _ftap(g, M, params, *_onsager_terms(g, params))[0].reshape(lead)[()]
 
 
 def ftap_grad(g: DisorderTensors, m: np.ndarray, params: TapParams):
-    """Gradient: -beta grad H - y + atanh(m) + beta^2 (1-q) xi''(q) m
-    + (Gamma beta / 2)(Q(m) - q) m."""
+    """Gradient: -beta grad H - y + atanh(m) + b(q) m + (Gamma beta / 2)(Q(m) - q) m."""
     M, lead = _rows(m, g.n)
-    return _ftap(g, M, params)[1].reshape(lead + (g.n,))
+    _check_interior(M)
+    return _ftap(g, M, params, *_onsager_terms(g, params))[1].reshape(lead + (g.n,))
 
 
 def ftap_hessian(g: DisorderTensors, m: np.ndarray, params: TapParams) -> np.ndarray:
-    """Hessian: -beta hess H + D(m) + (beta^2(1-q)xi''(q)
-    + (Gamma beta/2)(Q-q)) I + (Gamma beta / n) m m^T, D = diag(1/(1-m_i^2))."""
+    """Hessian: -beta hess H + D(m) + (b(q) + (Gamma beta/2)(Q-q)) I
+    + (Gamma beta / n) m m^T, D = diag(1/(1-m_i^2))."""
     mv = np.asarray(m, dtype=float)
     _check_interior(mv)
     beta, q, gam = params.beta, params.q, params.gamma_reg
@@ -141,7 +133,7 @@ def ftap_hessian(g: DisorderTensors, m: np.ndarray, params: TapParams) -> np.nda
     Q = float(mv @ mv) / g.n
     H[np.diag_indices(g.n)] += 1.0 / (1.0 - mv * mv)
     reg = 0.5 * gam * beta * (Q - q)
-    H[np.diag_indices(g.n)] += beta * beta * (1.0 - q) * g.spec.xi(q, order=2) + reg
+    H[np.diag_indices(g.n)] += onsager(g.spec, beta, q) + reg
     H += (gam * beta / g.n) * np.outer(mv, mv)
     return H
 
@@ -163,11 +155,11 @@ def bregman(m: np.ndarray, nvec: np.ndarray) -> float:
     D(m, n) = -h(m) + h(n) + <grad h(n), m - n>, grad h(n) = -atanh(n)."""
     m = np.asarray(m, dtype=float)
     nvec = np.asarray(nvec, dtype=float)
-    if np.any(np.abs(m) >= 1.0) or np.any(np.abs(nvec) >= 1.0):
-        raise ValueError("bregman requires interior points")
+    _check_interior(m)
+    _check_interior(nvec)
     return float(
-        -binary_entropy_sum(m)
-        + binary_entropy_sum(nvec)
+        -_entropy_terms(m).sum(axis=-1)
+        + _entropy_terms(nvec).sum(axis=-1)
         - np.arctanh(nvec) @ (m - nvec)
     )
 
@@ -197,13 +189,16 @@ def ngd_run(
     on how a batch is split.  Each trial is one value-and-gradient call whose
     gradient, once accepted, drives the next step and `grad_norm`.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not 0.0 < eta < np.inf:
+        raise ValueError("eta must be positive and finite")
     if K < 1:
         raise ValueError("K must be >= 1")
     U, lead = _rows(u0, g.n)
+    if not np.all(np.isfinite(U)):
+        raise ValueError("u0 must be finite")
+    terms = _onsager_terms(g, params)
     M = _clip_interior(np.tanh(U))
-    f, gvec = _ftap(g, M, params)
+    f, gvec = _ftap(g, M, params, *terms)
 
     def _mk_state(U, Mm, f, gvec):
         return TapIterate(
@@ -222,7 +217,7 @@ def ngd_run(
         for attempt in range(max_halvings + 1):
             U_try = U - eta_row[:, None] * gvec
             M_try = _clip_interior(np.tanh(U_try))
-            f_try, g_try = _ftap(g, M_try, params)
+            f_try, g_try = _ftap(g, M_try, params, *terms)
             bad = f_try > f + noise_tol
             if not np.any(bad):
                 break

@@ -16,9 +16,9 @@ from .amp import amp_run
 from .baselines import SampleBatch, empirical_w2, exact_gibbs
 from .disorder import all_spins, gen_random, grad, hamiltonian, hamiltonian_table, hessian
 from .localization import SamplerParams, sample
-from .mixture import MixtureSpec, binary_entropy
+from .mixture import MixtureSpec, binary_entropy, ons, ons_prime
 from .scalar import DEFAULT_RULE, mutual_info_scalar, phi, psi, psi_prime
-from .tap import TapParams, bregman, ftap_grad, ftap_hessian, ftap_value, ngd_run, ons, ons_prime
+from .tap import TapParams, bregman, ftap_grad, ftap_hessian, ftap_value, ngd_run
 
 __all__ = ["run_validation", "CHECKS"]
 

@@ -120,6 +120,15 @@ class TestHamiltonianCalculus:
         assert hamiltonian(g, np.zeros(5)) == 0.0
         np.testing.assert_array_equal(grad(g, np.zeros(5)), np.zeros(5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("fn", [hamiltonian, grad])
+    def test_non_finite_rejected(self, mixed, fn, bad):
+        g = gen_random(mixed, 4, seed=0)
+        x = np.zeros((2, 4))
+        x[1, 2] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            fn(g, x)
+
     def test_n1_sk_closed_form(self, sk):
         g = gen_random(sk, 1, seed=2)
         val = hamiltonian(g, np.array([0.7]))

@@ -198,6 +198,14 @@ class TestSampler:
         with pytest.raises(ValueError):
             SamplerParams(beta=0.5, L=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, sk, bad):
+        with pytest.raises(ValueError, match="delta"):
+            SamplerParams(beta=0.5, delta=bad)
+        g = gen_random(sk, 4, seed=1)
+        with pytest.raises(ValueError, match="beta"):
+            sample(g, SamplerParams(beta=bad, L=4))
+
 
 @pytest.fixture(scope="module")
 def exact_mean_run(sk):

@@ -96,6 +96,12 @@ class TestBinaryEntropy:
         with pytest.raises(ValueError):
             binary_entropy(1.0001)
 
+    @pytest.mark.parametrize("bad", [1.0001, -1.5, np.nan])
+    @pytest.mark.parametrize("fn", [binary_entropy, binary_entropy_sum])
+    def test_bound_checked(self, fn, bad):
+        with pytest.raises(ValueError, match="binary entropy requires"):
+            fn(np.array([0.5, bad, 0.0]))
+
     def test_against_scipy_xlogy(self, gen):
         from scipy.special import xlogy
 

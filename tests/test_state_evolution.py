@@ -224,3 +224,13 @@ class TestPsiStarAndSchedule:
             q_schedule(sk, 0.5, 0.0, 4)
         with pytest.raises(ValueError):
             q_schedule(sk, 0.5, 0.1, 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, sk, bad):
+        for beta, t in [(bad, 0.5), (0.5, bad)]:
+            with pytest.raises(ValueError, match="beta and t"):
+                se_recursion(sk, beta, t, K=2)
+        with pytest.raises(ValueError, match="delta"):
+            q_schedule(sk, 0.5, bad, 4)
+        with pytest.raises(ValueError, match="beta"):
+            q_schedule(sk, bad, 0.1, 4)

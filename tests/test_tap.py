@@ -96,6 +96,17 @@ class TestValue:
         with pytest.raises(ValueError):
             ftap_value(g, np.array([1.0, 0.0, 0.0, 0.0]), params)
 
+    @pytest.mark.parametrize(
+        "bad,match", [(1.0, "strictly inside"), (-1.0, "strictly inside"), (np.nan, "finite")]
+    )
+    @pytest.mark.parametrize("fn", [ftap_value, ftap_grad, ftap_hessian])
+    def test_public_entries_check_m(self, mixed, fn, bad, match):
+        g = gen_random(mixed, 4, seed=4)
+        params = TapParams(beta=0.5, q=0.1, gamma_reg=1.0, y=np.zeros(4))
+        m = np.array([0.2, bad, 0.0, -0.3])
+        with pytest.raises(ValueError, match=match):
+            fn(g, m, params)
+
 
 class TestCalculus:
     def test_grad_fd(self, mixed, gen):
@@ -306,6 +317,39 @@ class TestNgd:
         final = states[-1]
         want = np.linalg.norm(ftap_grad(g, final.m, params), axis=-1)
         np.testing.assert_array_equal(final.grad_norm, want, strict=True)
+
+    def test_onsager_terms_once_per_run(self, mixed, monkeypatch, caplog):
+        # (beta, q) is fixed for a run, so NGD's xi evaluations do not grow with K
+        g, params = self._setup(mixed, 9, seed=15)
+        calls = []
+        xi = MixtureSpec.xi
+
+        def counted(spec, *args, **kwargs):
+            calls.append(args)
+            return xi(spec, *args, **kwargs)
+
+        monkeypatch.setattr(MixtureSpec, "xi", counted)
+        caplog.set_level(logging.DEBUG, logger="glasslocal.tap")
+        counts = []
+        for K in (2, 20):
+            calls.clear()
+            ngd_run(g, np.zeros((3, 9)), params, eta=0.05, K=K)
+            counts.append(len(calls))
+        assert not [r for r in caplog.records if "halved eta" in r.getMessage()]
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_u0_checked(self, sk, bad):
+        g, params = self._setup(sk, 4, seed=14)
+        u0 = np.array([[0.0, 0.1, 0.0, 0.0], [0.2, bad, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="u0"):
+            ngd_run(g, u0, params, eta=0.1, K=2)
+
+    @pytest.mark.parametrize("eta", [np.nan, np.inf])
+    def test_eta_checked(self, sk, eta):
+        g, params = self._setup(sk, 4, seed=14)
+        with pytest.raises(ValueError, match="eta"):
+            ngd_run(g, np.zeros(4), params, eta=eta, K=2)
 
     def test_parameter_validation(self, sk):
         g, params = self._setup(sk, 4, seed=14)
