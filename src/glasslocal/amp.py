@@ -35,7 +35,6 @@ class AmpState:
 
     k: int
     m_hat: np.ndarray
-    m_hat_prev: np.ndarray
     z: np.ndarray
     q_hat: float | np.ndarray
     onsager_b: float | np.ndarray
@@ -47,20 +46,22 @@ def amp_run(
     beta: float,
     K: int,
     keep_history: bool = False,
-    z_clamp: float = Z_CLAMP,
 ) -> list[AmpState]:
     """Run K iterations from the zero initialization.
 
     `y` may be a single vector (n,) or a batch (M, n); batched runs keep one
     q_hat and Onsager scalar per row.  By default only the final state is
-    returned (it still carries m_hat_prev, i.e. the last two iterates),
-    bounding memory; keep_history=True retains all K states for the
-    state-evolution diagnostics.  Non-finite iterates raise, naming the
-    iteration.
+    returned, bounding memory; keep_history=True retains all K states for
+    the state-evolution diagnostics.  A non-finite beta or y raises on entry;
+    a non-finite iterate raises, naming the iteration.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
+    if not np.isfinite(beta):
+        raise ValueError("beta must be finite")
     Y, lead = _rows(y, g.n)
+    if not np.all(np.isfinite(Y)):
+        raise ValueError("y must be finite")
     shape = lead + (g.n,)
     m_prev = np.zeros_like(Y)  # m^{-1}
     m = np.zeros_like(Y)  # m^0 = tanh(z^0) = 0
@@ -70,10 +71,10 @@ def amp_run(
         z = beta * grad(g, m) + Y - b[:, None] * m_prev
         if not np.all(np.isfinite(z)):
             raise FloatingPointError(f"AMP produced a non-finite iterate at k={k}")
-        n_clamped = int(np.sum(np.abs(z) > z_clamp))
+        n_clamped = int(np.sum(np.abs(z) > Z_CLAMP))
         if n_clamped:
-            logger.warning("AMP k=%d: clamped %d component(s) at |z|=%g", k, n_clamped, z_clamp)
-            z = np.clip(z, -z_clamp, z_clamp)
+            logger.warning("AMP k=%d: clamped %d component(s) at |z|=%g", k, n_clamped, Z_CLAMP)
+            z = np.clip(z, -Z_CLAMP, Z_CLAMP)
         m_prev = m
         m = np.tanh(z)
         q_hat = np.mean(m**2, axis=-1)
@@ -81,7 +82,6 @@ def amp_run(
         state = AmpState(
             k=k,
             m_hat=m.reshape(shape),
-            m_hat_prev=m_prev.reshape(shape),
             z=z.reshape(shape),
             q_hat=q_hat.reshape(lead)[()],
             onsager_b=b.reshape(lead)[()],

@@ -68,7 +68,6 @@ class SampleRun:
 
     mean_final: np.ndarray  # (R, n)
     x_alg: np.ndarray  # (R, n)
-    seed: int
     final_q: np.ndarray  # (R,)
     grad_norm_last: np.ndarray  # (R,)
     q_used: np.ndarray  # (L+1,)
@@ -189,7 +188,6 @@ def sample(
     return SampleRun(
         mean_final=mean_final,
         x_alg=x_alg,
-        seed=params.seed,
         y_trajectory=traj,
         final_q=final_q,
         grad_norm_last=grad_norm,

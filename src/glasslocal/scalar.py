@@ -35,7 +35,7 @@ LARGE_GAMMA = 200.0
 _LOG2 = math.log(2.0)
 
 
-@dataclass(frozen=True, eq=False)  # identity hash: rules are shared singletons
+@dataclass(frozen=True, eq=False)  # ndarray fields: identity eq; no cache keys on a rule
 class QuadratureRule:
     """Gauss-Hermite nodes/weights normalized against the N(0,1) density."""
 
@@ -43,7 +43,7 @@ class QuadratureRule:
     weights: np.ndarray
 
     @classmethod
-    def gauss_hermite(cls, n_nodes: int = 301) -> "QuadratureRule":
+    def gauss_hermite(cls, n_nodes: int) -> "QuadratureRule":
         z, w = np.polynomial.hermite_e.hermegauss(n_nodes)
         return cls(nodes=z, weights=w / math.sqrt(2.0 * math.pi))
 
@@ -51,23 +51,26 @@ class QuadratureRule:
     def n_nodes(self) -> int:
         return self.nodes.size
 
-    def expect(self, f) -> np.ndarray:
-        """E[f(Z)] for a vectorized integrand f."""
-        return f(self.nodes) @ self.weights
 
-
+#: The one rule every expectation over Z in the package uses.
 DEFAULT_RULE = QuadratureRule.gauss_hermite(301)
+
+#: phi: 45 bisection steps narrow the bracket to ~1e-14 relative, then Newton
+#: polishes to |psi(phi(q)) - q| <= PHI_TOL within PHI_NEWTON_STEPS.
+PHI_TOL = 1e-11
+PHI_BISECTIONS = 45
+PHI_NEWTON_STEPS = 155
 
 
 def _flat_nonneg(gamma):
-    """gamma as a flat array, checked nonnegative, and its shape."""
+    """gamma as a flat array, checked finite and nonnegative, and its shape."""
     g = np.asarray(gamma, dtype=float)
-    if np.any(g < 0):
-        raise ValueError("gamma must be nonnegative")
+    if not np.all((g >= 0) & (g < np.inf)):
+        raise ValueError("gamma must be finite and nonnegative")
     return g.reshape(-1), g.shape
 
 
-def psi(gamma, rule: QuadratureRule = DEFAULT_RULE):
+def psi(gamma):
     """E[tanh(gamma + sqrt(gamma) Z)], increasing and concave, in [0, 1).
 
     Accepts scalars or arrays.
@@ -77,15 +80,15 @@ def psi(gamma, rule: QuadratureRule = DEFAULT_RULE):
     small = g <= LARGE_GAMMA
     if np.any(small):
         gs = g[small]
-        v = gs[:, None] + np.sqrt(gs)[:, None] * rule.nodes
-        out[small] = np.tanh(v) @ rule.weights
+        v = gs[:, None] + np.sqrt(gs)[:, None] * DEFAULT_RULE.nodes
+        out[small] = np.tanh(v) @ DEFAULT_RULE.weights
     if np.any(~small):
         gl = g[~small]
         out[~small] = 1.0 - np.sqrt(np.pi / (2.0 * gl)) * np.exp(-gl / 2.0)
     return out.reshape(shape)[()]
 
 
-def psi_prime(gamma, rule: QuadratureRule = DEFAULT_RULE):
+def psi_prime(gamma):
     """Derivative of psi, by Gaussian integration by parts.
 
     With V = gamma + sqrt(gamma) Z and T = tanh(V), the Stein form of the
@@ -100,9 +103,9 @@ def psi_prime(gamma, rule: QuadratureRule = DEFAULT_RULE):
     out[zero] = 1.0
     if np.any(mid):
         gm = g[mid]
-        v = gm[:, None] + np.sqrt(gm)[:, None] * rule.nodes
+        v = gm[:, None] + np.sqrt(gm)[:, None] * DEFAULT_RULE.nodes
         t = np.tanh(v)
-        out[mid] = ((1.0 - t**2) * (1.0 + 2.0 * t - 3.0 * t**2)) @ rule.weights
+        out[mid] = ((1.0 - t**2) * (1.0 + 2.0 * t - 3.0 * t**2)) @ DEFAULT_RULE.weights
     if np.any(large):
         gl = g[large]
         # derivative of the asymptotic tail; numerically 0 at this range
@@ -111,42 +114,37 @@ def psi_prime(gamma, rule: QuadratureRule = DEFAULT_RULE):
     return out.reshape(shape)[()]
 
 
-def phi(q, rule: QuadratureRule = DEFAULT_RULE, tol: float = 1e-11, max_iter: int = 200):
+def phi(q):
     """Inverse of psi: the gamma >= 0 with psi(gamma) = q, for q in [0, 1).
 
     Bracketing bisection followed by Newton polishing with psi'; converged to
-    |psi(phi) - q| <= tol.  Accepts scalars or arrays.
+    |psi(phi) - q| <= PHI_TOL.  Accepts scalars or arrays.
     """
     q_arr = np.asarray(q, dtype=float)
-    if np.any((q_arr < 0) | (q_arr >= 1)):
+    if not np.all((q_arr >= 0) & (q_arr < 1)):
         raise ValueError("phi requires q in [0, 1)")
     qv = q_arr.reshape(-1)
     lo = np.zeros_like(qv)
     hi = np.ones_like(qv)
     # expand the bracket until psi(hi) >= q everywhere
     for _ in range(60):
-        bad = psi(hi, rule) < qv
+        bad = psi(hi) < qv
         if not np.any(bad):
             break
         hi[bad] *= 2.0
     else:
         raise RuntimeError("phi: failed to bracket the root")
-    iters = 0
-    for _ in range(60):  # bisection: narrows to ~1e-18 relative
-        iters += 1
+    for _ in range(PHI_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        below = psi(mid, rule) < qv
+        below = psi(mid) < qv
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-        if iters >= 45:
-            break
     g = 0.5 * (lo + hi)
-    for _ in range(max_iter - iters):
-        iters += 1
-        resid = psi(g, rule) - qv
-        if np.max(np.abs(resid)) <= tol:
+    for _ in range(PHI_NEWTON_STEPS):
+        resid = psi(g) - qv
+        if np.max(np.abs(resid)) <= PHI_TOL:
             break
-        d = psi_prime(g, rule)
+        d = psi_prime(g)
         g_new = g - resid / d
         g = np.where(g_new >= 0, g_new, 0.5 * g)
     else:
@@ -155,9 +153,9 @@ def phi(q, rule: QuadratureRule = DEFAULT_RULE, tol: float = 1e-11, max_iter: in
     return g.reshape(q_arr.shape)[()]
 
 
-def phi_prime(q, rule: QuadratureRule = DEFAULT_RULE):
+def phi_prime(q):
     """phi'(q) = 1 / psi'(phi(q))."""
-    return 1.0 / psi_prime(phi(q, rule), rule)
+    return 1.0 / psi_prime(phi(q))
 
 
 def _log_cosh(x):
@@ -165,9 +163,9 @@ def _log_cosh(x):
     return ax + np.log1p(np.exp(-2.0 * ax)) - _LOG2
 
 
-def mutual_info_scalar(gamma, rule: QuadratureRule = DEFAULT_RULE):
+def mutual_info_scalar(gamma):
     """I(gamma) = gamma - E[log cosh(gamma + sqrt(gamma) Z)], in [0, log 2]."""
     g, shape = _flat_nonneg(gamma)
-    v = g[:, None] + np.sqrt(g)[:, None] * rule.nodes
-    out = g - _log_cosh(v) @ rule.weights
+    v = g[:, None] + np.sqrt(g)[:, None] * DEFAULT_RULE.nodes
+    out = g - _log_cosh(v) @ DEFAULT_RULE.weights
     return np.clip(out, 0.0, _LOG2).reshape(shape)[()]

@@ -42,6 +42,9 @@ logger = logging.getLogger(__name__)
 #: evaluation, keeping every iterate strictly interior.
 BOUNDARY_MARGIN = 1e-12
 
+#: A rejected NGD step halves its row's learning rate at most this many times.
+MAX_HALVINGS = 30
+
 
 @dataclass
 class TapParams:
@@ -53,6 +56,8 @@ class TapParams:
     y: np.ndarray
 
     def __post_init__(self):
+        if not np.isfinite(self.beta):
+            raise ValueError("beta must be finite")
         if not 0.0 <= self.q < 1.0:
             raise ValueError("q must lie in [0, 1)")
         if not np.isfinite(self.gamma_reg) or self.gamma_reg < 0:
@@ -175,12 +180,11 @@ def ngd_run(
     eta: float,
     K: int,
     keep_history: bool = True,
-    max_halvings: int = 30,
 ) -> list[TapIterate]:
     """Natural gradient descent u <- u - eta grad F(tanh(u)) for K steps.
 
     If a step increases F, its learning rate is halved and the step retried
-    (at most `max_halvings` times, per batch row); the next step resumes at
+    (at most MAX_HALVINGS times, per batch row); the next step resumes at
     the nominal eta.  Iterates are therefore nonincreasing in F up to the
     floating-point resolution of the value (1e-12 relative: a converged
     iterate's value jitters by an ulp, which must not trip the safeguard);
@@ -214,16 +218,16 @@ def ngd_run(
             raise FloatingPointError(f"NGD gradient non-finite at step k={k}")
         eta_row = np.full(f.shape, eta)
         noise_tol = 1e-12 * (1.0 + np.abs(f))
-        for attempt in range(max_halvings + 1):
+        for attempt in range(MAX_HALVINGS + 1):
             U_try = U - eta_row[:, None] * gvec
             M_try = _clip_interior(np.tanh(U_try))
             f_try, g_try = _ftap(g, M_try, params, *terms)
             bad = f_try > f + noise_tol
             if not np.any(bad):
                 break
-            if attempt == max_halvings:
+            if attempt == MAX_HALVINGS:
                 raise RuntimeError(
-                    f"NGD safeguard exhausted at step k={k} after {max_halvings} halvings"
+                    f"NGD safeguard exhausted at step k={k} after {MAX_HALVINGS} halvings"
                 )
             eta_row[bad] *= 0.5
             logger.debug("NGD k=%d: halved eta on %d row(s)", k, int(bad.sum()))

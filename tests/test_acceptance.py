@@ -112,6 +112,7 @@ def test_criterion_04_mean_estimation_oracle(sk):
     record("04 mean estimation vs enumeration", err <= 0.15, f"mean err {err:.4f} (<=0.15)", 120, t.elapsed)
 
 
+@pytest.mark.slow  # most of the suite's time; `pytest -m "not slow"` skips it
 def test_criterion_05_end_to_end_sampler(sk):
     n, beta, M = 10, 0.25, 500
     with Timer() as t:

@@ -123,7 +123,19 @@ class TestErrors:
         with pytest.raises(ValueError):
             amp_run(g, gen.standard_normal(9), 0.5, K=2)
 
-    def test_nonfinite_named_iteration(self, sk):
+    def test_nonfinite_named_iteration(self, sk, gen):
+        # finite inputs whose Onsager coefficient beta^2 xi''(0) overflows
         g = gen_random(sk, 8, seed=0)
-        with pytest.raises(FloatingPointError, match="k=1"):
-            amp_run(g, np.full(8, np.inf), 0.5, K=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="k=1"):
+                amp_run(g, gen.standard_normal(8), 1e200, K=3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_named(self, sk, gen, bad):
+        g = gen_random(sk, 8, seed=0)
+        with pytest.raises(ValueError, match="beta must be finite"):
+            amp_run(g, gen.standard_normal(8), bad, K=3)
+        y = gen.standard_normal((2, 8))
+        y[1, 3] = bad
+        with pytest.raises(ValueError, match="y must be finite"):
+            amp_run(g, y, 0.5, K=3)

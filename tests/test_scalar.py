@@ -78,6 +78,12 @@ class TestPsi:
         with pytest.raises(ValueError):
             psi(-0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("fn", [psi, psi_prime, mutual_info_scalar])
+    def test_non_finite_rejected(self, fn, bad):
+        with pytest.raises(ValueError, match="gamma must be finite and nonnegative"):
+            fn(np.array([0.5, bad]))
+
 
 class TestPsiPrime:
     def test_at_zero_exact(self):
@@ -118,6 +124,8 @@ class TestPhi:
             phi(1.0)
         with pytest.raises(ValueError):
             phi(-0.01)
+        with pytest.raises(ValueError, match=r"q in \[0, 1\)"):
+            phi(np.array([0.2, np.nan]))
 
 
 class TestMutualInfo:

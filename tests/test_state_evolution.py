@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,21 @@ class TestThresholds:
         d = rep.to_dict()
         assert d["beta3"] == 0.5
         assert d["method"]["beta3"]["c0_is_heuristic"]
+
+    @pytest.mark.parametrize("spec_name", ["sk", "mixed"])
+    def test_method_pinned(self, request, spec_name):
+        # the solver settings thresholds.json reports, types included
+        want = {
+            "beta1": {"grid": 4096, "spacing": "log", "refine": "golden", "tol": 1e-4},
+            "beta2": {"grid": 10000, "refine": 2000, "bisect_tol": 1e-4},
+            "beta3": {"c0": 0.25, "c0_is_heuristic": True},
+            "beta_c_rs": {"simpson_panels": 2048, "bisect_tol": 1e-3},
+            "beta_dyn": {"beta_step": 1e-3, "q_grid": 4096, "ceiling": 3.0},
+            "quadrature_nodes": 301,
+            "fixed_point_tol": 1e-12,
+        }
+        got = thresholds(request.getfixturevalue(spec_name)).method
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 class TestBetaDyn:

@@ -359,3 +359,8 @@ class TestNgd:
             ngd_run(g, np.zeros(4), params, eta=0.1, K=0)
         with pytest.raises(ValueError):
             TapParams(beta=0.5, q=1.0, gamma_reg=1.0, y=np.zeros(4))
+
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
+    def test_beta_checked(self, beta):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            TapParams(beta=beta, q=0.1, gamma_reg=1.0, y=np.zeros(4))
