@@ -35,7 +35,7 @@ from .disorder import DisorderTensors, gen_planted, gen_random, read_tensors, wr
 from .experiments import chaos_experiment, stability_experiment
 from .localization import SamplerParams, sample
 from .mixture import MixtureSpec
-from .state_evolution import mse_prediction, psi_star, q_schedule, se_recursion, thresholds
+from .state_evolution import _psi_at, mse_prediction, q_schedule, se_recursion, thresholds
 from .tap import TapParams, _clip_interior, _ftap, _onsager_terms, relative_hessian_extremes
 from .validate import run_validation
 
@@ -124,29 +124,26 @@ def _cmd_se(cfg: dict) -> None:
     ts = np.arange(0.0, cfg["se"]["t_max"] + cfg["se"]["t_step"] / 2, cfg["se"]["t_step"])
     rows = []
     for t in ts:
-        prof = se_recursion(spec, beta, float(t), K=1)
-        rows.append(
-            [float(t), prof.q_star, psi_star(spec, beta, float(t)), 1.0 - prof.q_star]
-        )
+        q = se_recursion(spec, beta, float(t), K=1).q_star
+        rows.append([float(t), q, _psi_at(spec, beta, float(t), q), 1.0 - q])
     _write_result(cfg.get("out"), _csv(["t", "q_star", "psi_star", "mmse"], rows), cfg)
 
 
 def _cmd_amp(cfg: dict) -> None:
-    spec = MixtureSpec.from_dict(cfg["mixture"])
     beta, t, K = cfg["beta"], cfg["amp"]["t"], cfg["amp"]["k"]
     if cfg["amp"]["planted"] and cfg.get("tensor_file"):
         msg = "a tensor file does not store the planted x, so the MSE is undefined"
         raise ConfigError(f"config field 'amp/planted': {msg}; set amp.planted=false")
     if cfg["amp"]["planted"]:
         x = _planted_x(cfg)
-        g = gen_planted(spec, cfg["n"], beta, x, cfg["seed"])
+        g = gen_planted(MixtureSpec.from_dict(cfg["mixture"]), cfg["n"], beta, x, cfg["seed"])
     else:
         g = _load_tensors(cfg)
         x = g.meta.get("x") if g.kind == "planted" else None
     z = rng.stream(cfg["seed"], "amp-y").standard_normal(g.n)
     y = t * (x if x is not None else 0.0) + math.sqrt(t) * z
     traj = amp_run(g, y, beta, K + 1, keep_history=True)
-    prof = se_recursion(spec, beta, t, K=K + 2)
+    prof = se_recursion(g.spec, beta, t, K=K + 2)
     rows = []
     for st, st_next in zip(traj[:-1], traj[1:]):
         mse_emp = float(np.mean((st.m_hat - x) ** 2)) if x is not None else float("nan")
@@ -158,7 +155,6 @@ def _cmd_amp(cfg: dict) -> None:
 
 
 def _cmd_tap(cfg: dict) -> None:
-    spec = MixtureSpec.from_dict(cfg["mixture"])
     beta, t = cfg["beta"], cfg["tap"]["t"]
     g = _load_tensors(cfg)
     x = g.meta.get("x") if g.kind == "planted" else None
@@ -255,6 +251,8 @@ def _read_batch(path: str) -> SampleBatch:
 
 
 def _cmd_w2(cfg: dict) -> None:
+    if "w2" not in cfg:
+        raise ConfigError("config field 'w2': w2 requires w2.batch_a and w2.batch_b")
     a = _read_batch(cfg["w2"]["batch_a"])
     b = _read_batch(cfg["w2"]["batch_b"])
     _write_result(cfg.get("out"), _csv(["w2"], [[empirical_w2(a, b)]]), cfg)

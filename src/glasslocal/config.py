@@ -1,35 +1,27 @@
 """Experiment configuration: JSON schema, validation, defaults resolution.
 
 A config is one JSON object with a `kind` naming the subcommand plus the
-fields that kind needs.  Unknown keys are rejected everywhere.  The resolved
-form (all defaults materialized) is echoed next to every result file so a
-run can be reproduced byte-for-byte from its provenance record.
+fields that kind needs.  Unknown keys are rejected everywhere.  Each default
+is the `"default"` of its field in CONFIG_SCHEMA.  The resolved form (all
+defaults materialized) is echoed next to every result file so a run can be
+reproduced byte-for-byte from its provenance record.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import math
+import operator
+import re
 
-import jsonschema
-
-__all__ = ["CONFIG_SCHEMA", "DEFAULTS", "validate_config", "resolve_config"]
+__all__ = ["CONFIG_SCHEMA", "resolve_config"]
 
 KINDS = [
-    "gen-disorder",
-    "thresholds",
-    "se",
-    "amp",
-    "tap",
-    "sample",
-    "exact",
-    "glauber",
-    "w2",
-    "chaos",
-    "stability",
-    "validate",
+    "gen-disorder", "thresholds", "se", "amp", "tap", "sample",
+    "exact", "glauber", "w2", "chaos", "stability", "validate",
 ]
+
+_UNIT = {"type": "number", "minimum": 0, "maximum": 1}
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -44,139 +36,111 @@ CONFIG_SCHEMA = {
             "patternProperties": {"^[0-9]+$": {"type": "number", "minimum": 0}},
             "additionalProperties": False,
             "minProperties": 1,
+            "default": {"2": 0.5},
         },
-        "n": {"type": "integer", "minimum": 1},
-        "beta": {"type": "number", "minimum": 0},
-        "seed": {"type": "integer", "minimum": 0},
+        "n": {"type": "integer", "minimum": 1, "default": 10},
+        "beta": {"type": "number", "minimum": 0, "default": 0.3},
+        "seed": {"type": "integer", "minimum": 0, "default": 0},
         "out": {"type": "string"},
         "tensor_file": {"type": "string"},
         "sampler": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "delta": {"type": "number", "exclusiveMinimum": 0},
-                "L": {"type": "integer", "minimum": 1},
-                "k_amp": {"type": "integer", "minimum": 1},
-                "k_ngd": {"type": "integer", "minimum": 1},
-                "eta": {"type": "number", "exclusiveMinimum": 0},
-                "gamma": {"type": "number", "minimum": 0},
-                "keep_trajectory": {"type": "boolean"},
-                "replicas": {"type": "integer", "minimum": 1},
+                "delta": {"type": "number", "exclusiveMinimum": 0, "default": 0.05},
+                "L": {"type": "integer", "minimum": 1, "default": 400},
+                "k_amp": {"type": "integer", "minimum": 1, "default": 30},
+                "k_ngd": {"type": "integer", "minimum": 1, "default": 100},
+                "eta": {"type": "number", "exclusiveMinimum": 0, "default": 0.1},
+                "gamma": {"type": "number", "minimum": 0, "default": 1.0},
+                "keep_trajectory": {"type": "boolean", "default": False},
+                "replicas": {"type": "integer", "minimum": 1, "default": 1},
             },
         },
         "gen": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "mode": {"enum": ["random", "planted"]},
-                "planted_beta": {"type": "number", "minimum": 0},
+                "mode": {"enum": ["random", "planted"], "default": "random"},
+                "planted_beta": {"type": "number", "minimum": 0, "default": 0.0},
             },
         },
         "thresholds": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "c0": {"type": "number", "exclusiveMinimum": 0},
-                "dyn_ceiling": {"type": "number", "exclusiveMinimum": 0},
+                "c0": {"type": "number", "exclusiveMinimum": 0, "default": 0.25},
+                "dyn_ceiling": {"type": "number", "exclusiveMinimum": 0, "default": 3.0},
             },
         },
         "se": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "t_max": {"type": "number", "exclusiveMinimum": 0},
-                "t_step": {"type": "number", "exclusiveMinimum": 0},
+                "t_max": {"type": "number", "exclusiveMinimum": 0, "default": 5.0},
+                "t_step": {"type": "number", "exclusiveMinimum": 0, "default": 0.25},
             },
         },
         "amp": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "k": {"type": "integer", "minimum": 1},
-                "t": {"type": "number", "minimum": 0},
-                "planted": {"type": "boolean"},
+                "k": {"type": "integer", "minimum": 1, "default": 10},
+                "t": {"type": "number", "minimum": 0, "default": 1.0},
+                "planted": {"type": "boolean", "default": True},
             },
         },
         "tap": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "q": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-                "gamma": {"type": "number", "minimum": 0},
-                "t": {"type": "number", "minimum": 0},
-                "k_amp": {"type": "integer", "minimum": 1},
-                "m_source": {"enum": ["amp", "zero"]},
-                "spectrum": {"type": "boolean"},
+                "q": {"type": "number", "minimum": 0, "exclusiveMaximum": 1, "default": 0.0},
+                "gamma": {"type": "number", "minimum": 0, "default": 1.0},
+                "t": {"type": "number", "minimum": 0, "default": 1.0},
+                "k_amp": {"type": "integer", "minimum": 1, "default": 30},
+                "m_source": {"enum": ["amp", "zero"], "default": "amp"},
+                "spectrum": {"type": "boolean", "default": True},
             },
         },
         "exact": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {"m_samples": {"type": "integer", "minimum": 1}},
+            "properties": {"m_samples": {"type": "integer", "minimum": 1, "default": 100}},
         },
         "glauber": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "sweeps": {"type": "integer", "minimum": 1},
-                "burn_in": {"type": "integer", "minimum": 0},
-                "thin": {"type": "integer", "minimum": 1},
+                "sweeps": {"type": "integer", "minimum": 1, "default": 1000},
+                "burn_in": {"type": "integer", "minimum": 0, "default": 100},
+                "thin": {"type": "integer", "minimum": 1, "default": 10},
             },
         },
         "w2": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {
-                "batch_a": {"type": "string"},
-                "batch_b": {"type": "string"},
-            },
+            "properties": {"batch_a": {"type": "string"}, "batch_b": {"type": "string"}},
             "required": ["batch_a", "batch_b"],
         },
         "chaos": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "s_list": {"type": "array", "items": {"type": "number", "minimum": 0, "maximum": 1}},
-                "n_seeds": {"type": "integer", "minimum": 1},
-                "batch_size": {"type": "integer", "minimum": 1},
+                "s_list": {"type": "array", "items": _UNIT, "default": [0.0, 0.1, 0.3, 1.0]},
+                "n_seeds": {"type": "integer", "minimum": 1, "default": 5},
+                "batch_size": {"type": "integer", "minimum": 1, "default": 200},
             },
         },
         "stability": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "s_list": {"type": "array", "items": {"type": "number", "minimum": 0, "maximum": 1}},
-                "n_seeds": {"type": "integer", "minimum": 1},
-                "replicas": {"type": "integer", "minimum": 1},
+                "s_list": {"type": "array", "items": _UNIT, "default": [0.0, 0.1, 0.3]},
+                "n_seeds": {"type": "integer", "minimum": 1, "default": 3},
+                "replicas": {"type": "integer", "minimum": 1, "default": 4},
             },
         },
     },
-}
-
-DEFAULTS = {
-    "mixture": {"2": 0.5},
-    "n": 10,
-    "beta": 0.3,
-    "seed": 0,
-    "sampler": {
-        "delta": 0.05,
-        "L": 400,
-        "k_amp": 30,
-        "k_ngd": 100,
-        "eta": 0.1,
-        "gamma": 1.0,
-        "keep_trajectory": False,
-        "replicas": 1,
-    },
-    "gen": {"mode": "random", "planted_beta": 0.0},
-    "thresholds": {"c0": 0.25, "dyn_ceiling": 3.0},
-    "se": {"t_max": 5.0, "t_step": 0.25},
-    "amp": {"k": 10, "t": 1.0, "planted": True},
-    "tap": {"q": 0.0, "gamma": 1.0, "t": 1.0, "k_amp": 30, "m_source": "amp", "spectrum": True},
-    "exact": {"m_samples": 100},
-    "glauber": {"sweeps": 1000, "burn_in": 100, "thin": 10},
-    "chaos": {"s_list": [0.0, 0.1, 0.3, 1.0], "n_seeds": 5, "batch_size": 200},
-    "stability": {"s_list": [0.0, 0.1, 0.3], "n_seeds": 3, "replicas": 4},
 }
 
 
@@ -184,39 +148,74 @@ class ConfigError(ValueError):
     """Schema violation, carrying a pointer to the offending field."""
 
 
-# Numbers must be finite: json reads NaN and +-Infinity, and NaN passes every
-# bound such as `minimum` because comparisons with NaN are false.
-_TYPES = jsonschema.Draft202012Validator.TYPE_CHECKER
-_Validator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=_TYPES.redefine(
-        "number", lambda _, v: _TYPES.is_type(v, "number") and math.isfinite(v)
-    ),
-)
+# JSON types.  Numbers must be finite: json reads NaN and +-Infinity, and NaN
+# passes every bound because comparisons with NaN are false.  bool is neither
+# an integer nor a number, and an integer is an int, never an integral float.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: _TYPES["integer"](v) or isinstance(v, float) and math.isfinite(v),
+}
+
+# keyword -> (violated when, message), with jsonschema's wording
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum of"),
+    "maximum": (operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
+    "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum of"),
+}
 
 
-def validate_config(cfg: dict) -> None:
-    validator = _Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
-    if errors:
-        e = errors[0]
-        where = "/".join(str(p) for p in e.absolute_path) or "<root>"
-        raise ConfigError(f"config field '{where}': {e.message}")
+def _walk(schema: dict, value, path: tuple):
+    """Check `value` against the keywords CONFIG_SCHEMA uses; return a copy in
+    which each missing property with a `"default"`, or with properties that
+    have one, is filled in (so `w2`, which has none, stays absent)."""
+
+    def fail(msg):
+        raise ConfigError(f"config field '{'/'.join(map(str, path)) or '<root>'}': {msg}")
+
+    kind = schema.get("type")
+    if kind and not _TYPES[kind](value):
+        fail(f"{value!r} is not of type {kind!r}")
+    if "enum" in schema and value not in schema["enum"]:
+        fail(f"{value!r} is not one of {schema['enum']!r}")
+    for word, (violated, text) in _BOUNDS.items():
+        if word in schema and violated(value, schema[word]):
+            fail(f"{value!r} is {text} {schema[word]!r}")
+    if kind == "array":
+        return [_walk(schema["items"], v, path + (i,)) for i, v in enumerate(value)]
+    if kind != "object":
+        return value
+    props, patterns = schema.get("properties", {}), schema.get("patternProperties", {})
+    subs = {k: props.get(k) or next((s for p, s in patterns.items() if re.search(p, k)), None)
+            for k in value}
+    extras = sorted(k for k, s in subs.items() if s is None)  # every object is closed
+    if extras and patterns:
+        fail(f"{', '.join(map(repr, extras))} {'does' if len(extras) == 1 else 'do'} not "
+             f"match any of the regexes: {', '.join(map(repr, sorted(patterns)))}")
+    if extras:
+        fail(f"Additional properties are not allowed ({', '.join(map(repr, extras))} "
+             f"{'was' if len(extras) == 1 else 'were'} unexpected)")
+    for key in schema.get("required", []):
+        if key not in value:
+            fail(f"{key!r} is a required property")
+    if len(value) < schema.get("minProperties", 0):
+        fail(f"{value!r} should be non-empty")
+    out = {k: _walk(subs[k], value[k], path + (k,)) for k in sorted(value)}
+    for key, sub in props.items():
+        if key not in out and ("default" in sub or any(
+            "default" in s for s in sub.get("properties", {}).values()
+        )):
+            out[key] = _walk(sub, sub.get("default", {}), path + (key,))
+    return out
 
 
 def resolve_config(cfg: dict) -> dict:
     """Validate and materialize every default the kind consumes."""
-    validate_config(cfg)
-    out = copy.deepcopy(cfg)
-    for key, val in DEFAULTS.items():
-        if isinstance(val, dict):
-            merged = copy.deepcopy(val)
-            merged.update(out.get(key, {}))
-            out[key] = merged
-        else:
-            out.setdefault(key, copy.deepcopy(val))
-    validate_config(out)
-    return out
+    return _walk(CONFIG_SCHEMA, cfg, ())
 
 
 def dump_config(cfg: dict) -> str:

@@ -359,13 +359,14 @@ def psi_star(spec: MixtureSpec, beta: float, t: float) -> float:
     Its t-derivative is (1 - q_*)/2, consistent with the scalar I-MMSE
     relation.  Meaningful below beta1; computed (with a warning) above it.
     """
+    return _psi_at(spec, beta, t, se_recursion(spec, beta, t, K=1).q_star)
+
+
+def _psi_at(spec: MixtureSpec, beta: float, t: float, q: float) -> float:
+    """Psi(q) at a fixed point q = q_*(beta, t) the caller already has."""
     if beta >= beta1(spec):
-        warnings.warn(
-            f"psi_star evaluated at beta={beta} >= beta1; the fixed point may "
-            "not be unique",
-            stacklevel=2,
-        )
-    q = se_recursion(spec, beta, t, K=1).q_star
+        msg = f"psi_star evaluated at beta={beta} >= beta1; the fixed point may not be unique"
+        warnings.warn(msg, stacklevel=3)
     return float(ons(spec, beta, q) + mutual_info_scalar(beta * beta * spec.xi(q, order=1) + t))
 
 

@@ -300,3 +300,62 @@ class TestDeterminism:
                 "--out", str(out))
         val = out.read_text().strip().split("\n")[2].split(",")[1]
         assert float(val) == float(format(float(val), ".17g"))
+
+
+def test_cli_import_loads_no_jsonschema():
+    # configs are checked by config._walk; jsonschema is a test-only reference
+    src = os.path.dirname(os.path.dirname(glasslocal.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, glasslocal.cli; print([m for m in sys.modules if 'jsonschema' in m])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+class TestConfigFromCli:
+    def test_mixture_flag_replaces_default(self, tmp_path):
+        out = tmp_path / "th3.json"
+        assert run_cli("thresholds", "--mixture", '{"3": 1.0}', "--out", str(out)) == 0
+        assert json.loads(out.read_text())["beta1"] == pytest.approx(0.9542650, abs=2e-4)
+        paired = json.loads((tmp_path / "th3.json.config.json").read_text())
+        assert paired["mixture"] == {"3": 1.0}
+
+    def test_integer_key_rejects_integral_float(self, capsys):
+        assert run_cli("sample", "--n", "4", "--set", "sampler.L=2.0") == 2
+        assert "config field 'sampler/L': 2.0 is not of type 'integer'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sets", [[], ["--set", 'w2.batch_a="a.csv"']], ids=["none", "one"])
+    def test_w2_needs_both_batches(self, capsys, sets):
+        assert run_cli("w2", *sets) == 2
+        assert "config field 'w2'" in capsys.readouterr().err
+
+
+def test_amp_tensor_file_predicts_from_its_mixture(tmp_path):
+    from glasslocal.state_evolution import se_recursion
+
+    path = tmp_path / "m.gltn"
+    mix = '{"2": 0.5, "3": 0.7}'
+    assert run_cli("gen-disorder", "--mixture", mix, "--n", "8", "--out", str(path)) == 0
+    out = tmp_path / "amp.csv"
+    flags = ["--set", "amp.planted=false", "--set", "amp.k=4", "--beta", "0.4", "--out", str(out)]
+    assert run_cli("amp", "--tensor-file", str(path), *flags) == 0
+    prof = se_recursion(read_tensors(path).spec, 0.4, 1.0, 4 + 2)
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+    assert [float(r[3]) for r in rows] == [1.0 - prof.q_sequence[int(r[0]) + 1] for r in rows]
+
+
+def test_se_one_fixed_point_per_row(tmp_path, monkeypatch):
+    from glasslocal import cli, state_evolution
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return se_recursion(*args, **kwargs)
+
+    se_recursion = state_evolution.se_recursion
+    monkeypatch.setattr(state_evolution, "se_recursion", counted)
+    monkeypatch.setattr(cli, "se_recursion", counted)
+    out = tmp_path / "se.csv"
+    assert run_cli("se", "--beta", "0.5", "--set", "se.t_max=1.0", "--out", str(out)) == 0
+    assert len(calls) == len(out.read_text().strip().split("\n")) - 1 == 5
