@@ -163,29 +163,98 @@ def glauber_run(
     return SampleBatch(spins=np.array(out), provenance="glauber", seed=seed)
 
 
+def _check_pair(a: SampleBatch, b: SampleBatch) -> None:
+    if len(a) == 0 or len(b) == 0:
+        raise ValueError("batches must be nonempty")
+    if a.spins.shape[1] != b.spins.shape[1]:
+        raise ValueError(
+            f"batches must have equal dimension: n = {a.spins.shape[1]} and {b.spins.shape[1]}"
+        )
+
+
 def empirical_w2(a: SampleBatch, b: SampleBatch) -> float:
     """Normalized empirical 2-Wasserstein distance between equal-size batches.
 
     Exact for empirical measures: optimal assignment under the cost
     ||x - y||^2 / n, returning the square root of the mean matched cost.
-    scipy is imported here, so only the callers of this function load it.
+    For +-1 spins ||x - y||^2 is 4 times the Hamming distance, so the
+    assignment runs on the integer Hamming matrix and W2 comes from its
+    integer total: tied optimal assignments give the same float.
     """
-    from scipy.optimize import linear_sum_assignment
-
     if len(a) != len(b):
         raise ValueError("batches must have equal size")
-    if len(a) > W2_BATCH_CAP:
-        raise ValueError(f"batch size {len(a)} exceeds the cap {W2_BATCH_CAP}")
-    n = a.spins.shape[1]
-    cost = (2.0 * n - 2.0 * (a.spins @ b.spins.T)) / n
-    rows, cols = linear_sum_assignment(cost)
-    return float(np.sqrt(max(cost[rows, cols].mean(), 0.0)))
+    _check_pair(a, b)
+    N, n = a.spins.shape
+    if N > W2_BATCH_CAP:
+        raise ValueError(f"batch size {N} exceeds the cap {W2_BATCH_CAP}")
+    D = (n - a.spins @ b.spins.T) / 2  # Hamming distances, exact in float64
+    total = int(D[np.arange(N), _assign(D)].sum())
+    return math.sqrt(4 * total / (n * N))
+
+
+def _assign(D: np.ndarray) -> np.ndarray:
+    """Column assigned to each row by a minimum-cost perfect matching of the
+    square cost matrix D, whose entries are integers (held exactly in float64).
+
+    Crouse's shortest augmenting path (IEEE TAES 2016), the method behind
+    scipy's `linear_sum_assignment`.  The row minima start as duals, and rows
+    are matched greedily to free columns of zero reduced cost.  Each free row
+    then runs one Dijkstra search over reduced costs, one vector operation
+    over the columns per step, preferring a free column among tied minima;
+    the duals are updated and the path is augmented.  Integer costs make
+    every comparison exact, so no tolerance is needed.
+    """
+    N = D.shape[0]
+    u = D.min(axis=1)
+    v = np.zeros(N)
+    col4row = np.full(N, -1)
+    row4col = np.full(N, -1)
+    for i in range(N):
+        zeros = np.flatnonzero((D[i] == u[i]) & (row4col < 0))
+        if zeros.size:
+            col4row[i], row4col[zeros[0]] = zeros[0], i
+    path = np.empty(N, dtype=np.intp)  # predecessor row of each reached column
+    for cur in np.flatnonzero(col4row < 0):
+        dist = np.full(N, np.inf)  # shortest reduced path cost to each column
+        # added to 2 * dist, an integer, so the argmin takes the lowest dist,
+        # then a free column; a scanned column is out of the search
+        busy = (row4col >= 0).astype(float)
+        scanned = []
+        i, low = cur, 0.0
+        for _ in range(N):  # a free column is reached within N scans
+            # reduced costs are >= 0, so no scanned column (dist <= low) moves
+            r = D[i] - v + (low - u[i])
+            better = r < dist
+            dist[better] = r[better]
+            path[better] = i
+            j = int(np.argmin(2.0 * dist + busy))
+            low = dist[j]
+            scanned.append(j)
+            if row4col[j] < 0:
+                break
+            busy[j] = np.inf
+            i = row4col[j]
+        else:
+            raise RuntimeError("assignment search reached no free column")
+        sc = np.array(scanned)
+        delta = low - dist[sc]
+        v[sc] -= delta
+        u[row4col[sc[:-1]]] += delta[:-1]
+        u[cur] += low
+        for _ in scanned:  # augment back from the free sink j to cur
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+        else:
+            raise RuntimeError("augmenting path does not return to its row")
+    return col4row
 
 
 def overlap_moment(a: SampleBatch, b: SampleBatch) -> float:
     """Mean of squared normalized overlaps over all cross pairs."""
-    if len(a) == 0 or len(b) == 0:
-        raise ValueError("batches must be nonempty")
+    _check_pair(a, b)
     n = a.spins.shape[1]
     return float((((a.spins @ b.spins.T) / n) ** 2).mean())
 

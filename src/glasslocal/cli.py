@@ -75,6 +75,8 @@ def _spins_to_hex(x: np.ndarray) -> str:
 
 
 def _hex_to_spins(h: str, n: int) -> np.ndarray:
+    if len(h) != 2 * ((n + 7) // 8):
+        raise ValueError(f"x_bits_hex {h!r} is not {(n + 7) // 8} bytes, as n = {n} needs")
     bits = np.unpackbits(np.frombuffer(bytes.fromhex(h), dtype=np.uint8))[:n]
     return 2.0 * bits.astype(float) - 1.0
 
@@ -241,7 +243,7 @@ def _read_batch_csv(path: str) -> SampleBatch:
         for line in f:
             if line.strip():
                 spins.append(_hex_to_spins(line.strip().split(",")[col], n))
-    return SampleBatch(spins=np.array(spins), provenance="file")
+    return SampleBatch(spins=np.array(spins).reshape(len(spins), n), provenance="file")
 
 
 def _read_batch(path: str) -> SampleBatch:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from glasslocal import (
     MixtureSpec,
@@ -14,7 +16,7 @@ from glasslocal import (
     hamiltonian,
     overlap_moment,
 )
-from glasslocal.baselines import SampleBatch
+from glasslocal.baselines import SampleBatch, _assign
 from glasslocal.disorder import DisorderTensors, all_spins
 
 
@@ -176,6 +178,71 @@ class TestW2:
         with pytest.raises(ValueError):
             empirical_w2(a, b)
 
+    def test_unequal_dimension_named(self):
+        a = self._batch(np.ones((3, 4)))
+        b = self._batch(np.ones((3, 5)))
+        with pytest.raises(ValueError, match="equal dimension: n = 4 and 5"):
+            empirical_w2(a, b)
+        with pytest.raises(ValueError, match="equal dimension: n = 4 and 5"):
+            overlap_moment(a, b)
+
+    def test_empty_named(self, recwarn):
+        empty = self._batch(np.ones((0, 4)))
+        with pytest.raises(ValueError, match="batches must be nonempty"):
+            empirical_w2(empty, empty)
+        assert not recwarn.list
+
+
+def _spins(gen, N, n):
+    return np.where(gen.uniform(size=(N, n)) < 0.5, -1.0, 1.0)
+
+
+@st.composite
+def spin_pairs(draw):
+    """Two N x n spin batches, N in 1..60 and n in 1..20.  Rows come from a pool
+    of k distinct draws, so small k gives duplicated rows and many tied costs;
+    b is fresh, drawn from the same pool, a itself, or a permutation of a."""
+    N, n = draw(st.integers(1, 60)), draw(st.integers(1, 20))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = _spins(gen, draw(st.integers(1, N)), n)
+    a = pool[gen.integers(0, len(pool), size=N)]
+    b = {
+        "fresh": lambda: _spins(gen, N, n),
+        "pool": lambda: pool[gen.integers(0, len(pool), size=N)],
+        "same": lambda: a.copy(),
+        "permuted": lambda: a[gen.permutation(N)],
+    }[draw(st.sampled_from(["fresh", "pool", "same", "permuted"]))]()
+    return a, b
+
+
+class TestAssign:
+    """The numpy assignment solver against scipy's `linear_sum_assignment`."""
+
+    def _check(self, a, b):
+        N, n = a.shape
+        D = (n - a @ b.T) / 2
+        cols = _assign(D)
+        assert np.array_equal(np.sort(cols), np.arange(N))
+        rows, ref = linear_sum_assignment(D)
+        assert int(D[np.arange(N), cols].sum()) == int(D[rows, ref].sum())
+        cost = (2.0 * n - 2.0 * (a @ b.T)) / n
+        want = math.sqrt(cost[rows, ref].mean())
+        got = empirical_w2(SampleBatch(spins=a), SampleBatch(spins=b))
+        assert abs(got - want) <= 1e-15 * want
+
+    @given(spin_pairs())
+    @settings(max_examples=300, deadline=None)
+    @example((np.ones((1, 1)), -np.ones((1, 1))))
+    @example((np.ones((5, 3)), np.ones((5, 3))))
+    def test_matches_scipy(self, pair):
+        self._check(*pair)
+
+    @pytest.mark.parametrize("N, n", [(40, 1), (200, 12), (500, 10)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_scipy_seeded(self, N, n, seed):
+        gen = np.random.default_rng(seed)
+        self._check(_spins(gen, N, n), _spins(gen, N, n))
+
 
 class TestGibbsQuery:
     def test_query_form_matches_explicit(self, sk, gen):
@@ -208,6 +275,20 @@ class TestBatchBits:
         raw = path.read_bytes()
         assert int.from_bytes(raw[:4], "little") == 11
         assert len(raw) == 4 + 17 * 2
+
+    @given(st.integers(1, 40), st.integers(1, 30), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    @example(8, 1, 0)
+    @example(9, 3, 0)
+    def test_roundtrip_any_n(self, tmp_path_factory, n, M, seed):
+        from glasslocal import read_batch_bits, write_batch_bits
+
+        spins = _spins(np.random.default_rng(seed), M, n)
+        path = tmp_path_factory.mktemp("bits") / "b.bits"
+        write_batch_bits(path, SampleBatch(spins=spins))
+        assert path.stat().st_size == 4 + M * ((n + 7) // 8)
+        back = read_batch_bits(path)
+        np.testing.assert_array_equal(back.spins, spins, strict=True)
 
     def test_corrupt_rejected(self, tmp_path):
         from glasslocal import read_batch_bits

@@ -5,9 +5,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import glasslocal
-from glasslocal.cli import main
+from glasslocal.cli import _hex_to_spins, _spins_to_hex, main
 from glasslocal.config import CONFIG_SCHEMA, resolve_config, ConfigError
 from glasslocal.disorder import read_tensors
 
@@ -16,14 +17,44 @@ def run_cli(*args):
     return main(list(args))
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is imported only inside empirical_w2 (w2, chaos and validate)
+def test_cli_import_loads_no_scipy(tmp_path):
+    # the runtime is numpy only: neither the import nor w2 and chaos, the
+    # commands that run empirical_w2, load scipy
     src = os.path.dirname(os.path.dirname(glasslocal.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, glasslocal.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    code = f"""
+import os, sys
+import numpy as np
+import glasslocal.cli as cli
+from glasslocal.baselines import SampleBatch, write_batch_bits
+scipy_mods = lambda: [m for m in sys.modules if m.split('.')[0] == 'scipy']
+print(scipy_mods())
+os.chdir({str(tmp_path)!r})
+gen = np.random.default_rng(0)
+for name in ("a.bits", "b.bits"):
+    write_batch_bits(name, SampleBatch(np.where(gen.uniform(size=(12, 5)) < 0.5, -1.0, 1.0)))
+assert cli.main(["w2", "--set", 'w2.batch_a="a.bits"', "--set", 'w2.batch_b="b.bits"',
+                 "--out", "w2.csv"]) == 0
+assert cli.main(["chaos", "--n", "4", "--beta", "0.5", "--set", "chaos.s_list=[0.0,0.5]",
+                 "--set", "chaos.n_seeds=1", "--set", "chaos.batch_size=10",
+                 "--out", "chaos.csv"]) == 0
+print(scipy_mods())
+"""
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split("\n")[:2] == ["[]", "[]"]
+    assert (tmp_path / "w2.csv").exists() and (tmp_path / "chaos.csv").exists()
+
+
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+@example(8, 0)
+@example(1, 0)
+def test_spin_hex_roundtrip(n, seed):
+    x = np.where(np.random.default_rng(seed).uniform(size=n) < 0.5, -1.0, 1.0)
+    h = _spins_to_hex(x)
+    assert len(h) == 2 * ((n + 7) // 8)
+    np.testing.assert_array_equal(_hex_to_spins(h, n), x, strict=True)
 
 
 class TestConfig:
@@ -293,6 +324,43 @@ class TestDeterminism:
         )
         assert code == 0
         assert float(out.read_text().strip().split("\n")[1]) == 0.0
+
+    def test_w2_unequal_dimension_reported(self, tmp_path, capsys):
+        from glasslocal.baselines import SampleBatch, write_batch_bits
+
+        for name, n in (("a.bits", 6), ("b.bits", 9)):
+            write_batch_bits(tmp_path / name, SampleBatch(spins=np.ones((4, n))))
+        out = tmp_path / "w2.csv"
+        code = run_cli(
+            "w2", "--set", f'w2.batch_a="{tmp_path / "a.bits"}"',
+            "--set", f'w2.batch_b="{tmp_path / "b.bits"}"', "--out", str(out),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [ValueError]") and "equal dimension: n = 6 and 9" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "rows, match",
+        [
+            ("", "batches must be nonempty"),
+            ("0,94\n1,ff\n", "x_bits_hex '94' is not 2 bytes, as n = 12 needs"),
+            ("0,94a0b1\n", "x_bits_hex '94a0b1' is not 2 bytes, as n = 12 needs"),
+        ],
+        ids=["empty", "short-rows", "long-row"],
+    )
+    def test_w2_bad_batch_csv_reported(self, tmp_path, capsys, rows, match):
+        (tmp_path / "e.csv").write_text("sample,x_bits_hex\n" + rows)
+        (tmp_path / "e.csv.config.json").write_text('{"n": 12}')
+        out = tmp_path / "w2.csv"
+        code = run_cli(
+            "w2", "--set", f'w2.batch_a="{tmp_path / "e.csv"}"',
+            "--set", f'w2.batch_b="{tmp_path / "e.csv"}"', "--out", str(out),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [ValueError]") and match in err
+        assert not out.exists()
 
     def test_seventeen_digit_floats(self, tmp_path):
         out = tmp_path / "se.csv"
