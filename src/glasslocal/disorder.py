@@ -220,29 +220,54 @@ def _contract_last(S: np.ndarray, X: np.ndarray) -> np.ndarray:
     return (S.reshape(R, -1, n) @ X[:, :, None]).reshape(R, -1)
 
 
-def _degree(S: np.ndarray, X: np.ndarray):
-    """<T, x^(x)p> per row and its gradient, from the symmetrized S = S_p."""
+def _block_rows(n: int, p: int) -> int:
+    """Rows per block for degree p (see `BLOCK_ENTRIES`)."""
+    return max(1, BLOCK_ENTRIES // n ** (p - 1), n // 4)
+
+
+def _kernel_work(g: DisorderTensors, M: int):
+    """Work arrays for `_kernel` on M rows: the value (M,), the gradient
+    (M, n) and one flat scratch that holds any degree's largest block
+    intermediate (rows, n^(p-1))."""
+    n = g.n
+    size = max(min(M, _block_rows(n, p)) * n ** (p - 1) for p in g.tensors)
+    return np.empty(M), np.empty((M, n)), np.empty(size)
+
+
+def _degree(S: np.ndarray, X: np.ndarray, scratch: np.ndarray | None):
+    """<T, x^(x)p> per row and its gradient, from the symmetrized S = S_p.
+    The first intermediate (rows, n^(p-1)) goes to the front of `scratch`,
+    or to a fresh array if it is None."""
     R, n = X.shape
-    A = X @ S.reshape(n, -1)  # the one pass: slots 1..p-1 are left
+    A = None if scratch is None else scratch[: R * (S.size // n)].reshape(R, -1)
+    A = np.matmul(X, S.reshape(n, -1), out=A)  # the one pass: slots 1..p-1 are left
     for _ in range(S.ndim - 2):
         A = _contract_last(A, X)
     return _contract_last(A, X)[:, 0] / S.ndim, A  # A is the gradient
 
 
-def _kernel(g: DisorderTensors, X: np.ndarray):
+def _kernel(g: DisorderTensors, X: np.ndarray, work=None):
     """H (M,) and grad H (M, n) on rows X (M, n), one pass per tensor.
-    Blocks and contractions run in a fixed order, so results are reproducible
-    bit-for-bit.  Unchecked: the public entries check their input."""
+
+    `work`, from `_kernel_work(g, M)`, receives both results, which are its
+    first two arrays, and the block intermediates, so a caller that passes
+    one workspace to every call allocates nothing of size n^(p-1) per call.
+    Without it every array is fresh.  Blocks and contractions run in a fixed
+    order, so results are reproducible bit-for-bit and do not depend on
+    `work`.  Unchecked: the public entries check their input."""
     M, n = X.shape
-    val = np.zeros(M)
-    gr = np.zeros((M, n))
+    val, gr, scratch = (np.empty(M), np.empty((M, n)), None) if work is None else work
+    val.fill(0.0)
+    gr.fill(0.0)
     for p, S in _symmetric(g).items():
         scale = g.spec.c(p) / n ** ((p - 1) / 2)
-        rows = max(1, BLOCK_ENTRIES // n ** (p - 1), n // 4)
+        rows = _block_rows(n, p)
         for lo in range(0, M, rows):
-            v, d = _degree(S, X[lo : lo + rows])
-            val[lo : lo + rows] += scale * v
-            gr[lo : lo + rows] += scale * d
+            v, d = _degree(S, X[lo : lo + rows], scratch)
+            v *= scale
+            val[lo : lo + rows] += v
+            d *= scale
+            gr[lo : lo + rows] += d
     return val, gr
 
 

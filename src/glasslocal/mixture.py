@@ -133,15 +133,20 @@ def ons_prime(spec: MixtureSpec, beta: float, q):
     return -0.5 * onsager(spec, beta, q)
 
 
-def _entropy_terms(m) -> np.ndarray:
+def _entropy_terms(m: np.ndarray, work=None) -> np.ndarray:
     """-(a log a + b log b) per entry, a = (1+m)/2, b = (1-m)/2, 0 log 0 = 0.
+
+    `work`, three float arrays shaped like m (allocated when not given),
+    receives the result in its first and uses the other two as scratch.
     Unchecked: the public entries check |m| <= 1."""
-    out = 0.0
-    for a in ((1.0 + m) / 2.0, (1.0 - m) / 2.0):
-        log_a = np.zeros_like(a)
+    out, a, log_a = (np.empty_like(m) for _ in range(3)) if work is None else work
+    out.fill(0.0)
+    for side in (np.add, np.subtract):
+        np.divide(side(1.0, m, out=a), 2.0, out=a)
+        log_a.fill(0.0)
         np.log(a, out=log_a, where=a > 0)
-        out = out + a * log_a
-    return -out
+        out += np.multiply(a, log_a, out=log_a)
+    return np.negative(out, out=out)
 
 
 def binary_entropy(m):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disorder import DisorderTensors, _kernel, _rows, hessian
+from .disorder import DisorderTensors, _kernel, _kernel_work, _rows, hessian
 from .mixture import _entropy_terms, ons, ons_prime, onsager
 
 __all__ = [
@@ -87,30 +87,42 @@ def _onsager_terms(g: DisorderTensors, params: TapParams):
     return ons(g.spec, params.beta, params.q), onsager(g.spec, params.beta, params.q)
 
 
-def _ftap(g: DisorderTensors, M: np.ndarray, params: TapParams, ons_q, b):
+def _ftap_work(g: DisorderTensors, rows: int):
+    """Work arrays for `_ftap` on `rows` rows: the gradient (rows, n) it
+    returns, then its scratch: H (rows,), the kernel's block scratch and
+    three (rows, n) arrays."""
+    h, gr, kscratch = _kernel_work(g, rows)
+    return gr, (h, kscratch, *(np.empty_like(gr) for _ in range(3)))
+
+
+def _ftap(g: DisorderTensors, M: np.ndarray, params: TapParams, ons_q, b, work=None):
     """Value (rows,) and gradient (rows, n) of the modified free energy at rows
-    M that the caller keeps interior, from one kernel call; (ons_q, b) = `_onsager_terms`."""
+    M that the caller keeps interior, from one kernel call; (ons_q, b) = `_onsager_terms`.
+
+    Every (rows, n) step is written into `work` (`_ftap_work(g, rows)`,
+    allocated when not given), whose first array receives the gradient.  The
+    operations and their order do not depend on `work`, nor do the bits."""
     n = g.n
     beta, q, gam = params.beta, params.q, params.gamma_reg
-    h, dh = _kernel(g, M)
-    Q = np.sum(M * M, axis=-1) / n
+    dval, (h, kscratch, t, a, log_a) = _ftap_work(g, len(M)) if work is None else work
+    _kernel(g, M, (h, dval, kscratch))  # dval holds grad H until the terms below
+    Q = np.sum(np.multiply(M, M, out=t), axis=-1) / n
     # the tilt supports y as a shared (n,) vector or per-row (M, n)
     y = params.y
-    tilt = np.sum(M * y, axis=-1) if y.ndim > 1 else M @ y
+    tilt = np.sum(np.multiply(M, y, out=t), axis=-1) if y.ndim > 1 else M @ y
     val = (
         -beta * h
         - tilt
-        - _entropy_terms(M).sum(axis=-1)
+        - _entropy_terms(M, (t, a, log_a)).sum(axis=-1)
         - n * (ons_q + (-0.5 * b) * (Q - q))
         + n * gam * beta / 8.0 * (Q - q) ** 2
     )
-    dval = (
-        -beta * dh
-        - y
-        + np.arctanh(M)
-        + b * M
-        + (0.5 * gam * beta) * (Q - q)[:, None] * M
-    )
+    # -beta grad H - y + atanh(M) + b M + (Gamma beta / 2)(Q - q) M, in order
+    dval *= -beta
+    dval -= y
+    dval += np.arctanh(M, out=t)
+    dval += np.multiply(b, M, out=t)
+    dval += np.multiply((0.5 * gam * beta) * (Q - q)[:, None], M, out=t)
     return val, dval
 
 
@@ -169,8 +181,8 @@ def bregman(m: np.ndarray, nvec: np.ndarray) -> float:
     )
 
 
-def _clip_interior(m: np.ndarray) -> np.ndarray:
-    return np.clip(m, -1.0 + BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN)
+def _clip_interior(m: np.ndarray, out=None) -> np.ndarray:
+    return np.clip(m, -1.0 + BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, out=out)
 
 
 def ngd_run(
@@ -192,6 +204,11 @@ def ngd_run(
     or a batch (M, n); rows evolve independently, so results do not depend
     on how a batch is split.  Each trial is one value-and-gradient call whose
     gradient, once accepted, drives the next step and `grad_norm`.
+
+    The run allocates its (rows, n) arrays once: u, m and the gradient of the
+    accepted state and of the trial, which swap when a trial is accepted, and
+    one `_ftap` scratch that serves both, so a trial allocates nothing of
+    size n.  `u0` is never written, and each returned iterate owns its arrays.
     """
     if not 0.0 < eta < np.inf:
         raise ValueError("eta must be positive and finite")
@@ -201,8 +218,10 @@ def ngd_run(
     if not np.all(np.isfinite(U)):
         raise ValueError("u0 must be finite")
     terms = _onsager_terms(g, params)
-    M = _clip_interior(np.tanh(U))
-    f, gvec = _ftap(g, M, params, *terms)
+    U, M = U.copy(), _clip_interior(np.tanh(U))  # a copy: u0 is never written
+    gvec, scratch = _ftap_work(g, len(U))
+    f, _ = _ftap(g, M, params, *terms, (gvec, scratch))
+    U_try, M_try, g_try = np.empty_like(U), np.empty_like(M), np.empty_like(gvec)
 
     def _mk_state(U, Mm, f, gvec):
         return TapIterate(
@@ -219,9 +238,9 @@ def ngd_run(
         eta_row = np.full(f.shape, eta)
         noise_tol = 1e-12 * (1.0 + np.abs(f))
         for attempt in range(MAX_HALVINGS + 1):
-            U_try = U - eta_row[:, None] * gvec
-            M_try = _clip_interior(np.tanh(U_try))
-            f_try, g_try = _ftap(g, M_try, params, *terms)
+            np.subtract(U, np.multiply(eta_row[:, None], gvec, out=U_try), out=U_try)
+            _clip_interior(np.tanh(U_try, out=M_try), out=M_try)
+            f_try, _ = _ftap(g, M_try, params, *terms, (g_try, scratch))
             bad = f_try > f + noise_tol
             if not np.any(bad):
                 break
@@ -231,11 +250,12 @@ def ngd_run(
                 )
             eta_row[bad] *= 0.5
             logger.debug("NGD k=%d: halved eta on %d row(s)", k, int(bad.sum()))
-        U, M, f, gvec = U_try, M_try, f_try, g_try
+        # the trial is the new state, and the old state's arrays take the next trial
+        U, M, f, gvec, U_try, M_try, g_try = U_try, M_try, f_try, g_try, U, M, gvec
         if not np.all(np.isfinite(U)):
             raise FloatingPointError(f"NGD produced a non-finite iterate at step k={k}")
-        if keep_history:
-            states.append(_mk_state(U, M, f, gvec))
+        if keep_history:  # the arrays are reused, so a stored state gets copies
+            states.append(_mk_state(U.copy(), M.copy(), f, gvec))
     if not keep_history:
         states = [_mk_state(U, M, f, gvec)]
     return states

@@ -1,8 +1,10 @@
 import math
+import os
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glasslocal import (
     MixtureSpec,
@@ -34,6 +36,24 @@ def _reference(g, X):
             rest = "".join(",a" + c for j, c in enumerate(idx) if j != s)
             out += scale * np.einsum(idx + rest + "->a" + idx[s], T, *[X] * (p - 1))
     return val, out
+
+
+def _allocating_kernel(g, X):
+    """The kernel with fresh arrays for every block and product, the
+    reference for its in-place form."""
+    M, n = X.shape
+    val, gr = np.zeros(M), np.zeros((M, n))
+    for p, S in disorder._symmetric(g).items():
+        scale = g.spec.c(p) / n ** ((p - 1) / 2)
+        rows = disorder._block_rows(n, p)
+        for lo in range(0, M, rows):
+            Xb = X[lo : lo + rows]
+            A = Xb @ S.reshape(n, -1)
+            for _ in range(p - 2):
+                A = disorder._contract_last(A, Xb)
+            val[lo : lo + rows] += scale * (disorder._contract_last(A, Xb)[:, 0] / p)
+            gr[lo : lo + rows] += scale * A
+    return val, gr
 
 
 class TestGeneration:
@@ -148,6 +168,26 @@ class TestHamiltonianCalculus:
         want_val, want_grad = _reference(g, X)
         for got, want in ((hamiltonian(g, X), want_val), (grad(g, X), want_grad)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("rows", ["one", "past-block"])
+    @pytest.mark.parametrize("coeffs", REFERENCE_SPECS, ids=["p2", "p3", "p4", "p234"])
+    def test_workspace_matches_allocating(self, coeffs, rows):
+        # one workspace, NaN-filled and then reused on a second X, gives the
+        # allocating kernel's bits; the past-block count spans several blocks
+        # of every degree (n < 8, so a block is BLOCK_ENTRIES // n^(p-1) rows)
+        n, spec = 7, MixtureSpec(coeffs)
+        g = gen_random(spec, n, seed=9)
+        M = {"one": 1, "past-block": BLOCK_ENTRIES // n ** (spec.coeffs[0][0] - 1) + 2}[rows]
+        work = disorder._kernel_work(g, M)
+        for a in work:
+            a.fill(np.nan)
+        for seed in (1, 2):
+            X = np.random.default_rng(seed).uniform(-1, 1, (M, n))
+            val, gr = disorder._kernel(g, X, work)
+            assert val is work[0] and gr is work[1]
+            for want_val, want_grad in (disorder._kernel(g, X), _allocating_kernel(g, X)):
+                np.testing.assert_array_equal(val, want_val, strict=True)
+                np.testing.assert_array_equal(gr, want_grad, strict=True)
 
     def test_covariance_identity(self, sk, gen):
         # sample covariance of (H(x1), H(x2)) over seeds vs n xi(<x1,x2>/n)
@@ -363,6 +403,54 @@ class TestTensorFile:
         path.write_bytes(b"GLTN1" + struct.pack("<IIdQB", 2, 2, math.nan, 0, 0) + bytes(8 * 4))
         with pytest.raises(ValueError, match="finite"):
             read_tensors(path)
+
+
+@st.composite
+def tensor_instances(draw):
+    """An instance of n 1..6 with up to p = 4, generated random, planted or
+    interpolated."""
+    n = draw(st.integers(1, 6))
+    degrees = draw(st.sets(st.sampled_from([2, 3, 4]), min_size=1))
+    csq = st.floats(1e-3, 1e3, allow_nan=False)
+    spec = MixtureSpec(tuple((p, draw(csq)) for p in sorted(degrees)))
+    seed = draw(st.integers(0, 2**64 - 1))
+    kind = draw(st.sampled_from(["random", "planted", "interpolated"]))
+    if kind == "planted":
+        x = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+        return gen_planted(spec, n, draw(st.floats(0.0, 2.0)), x, seed)
+    g = gen_random(spec, n, seed)
+    if kind == "interpolated":
+        other = gen_random(spec, n, draw(st.integers(0, 2**64 - 1)))
+        g = interpolate(g, other, draw(st.floats(0.0, 1.0)))
+    return g
+
+
+class TestTensorFileProperties:
+    @given(tensor_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_roundtrip(self, tmp_path_factory, g):
+        path = tmp_path_factory.mktemp("gltn") / "t.gltn"
+        write_tensors(path, g)
+        back = read_tensors(path)
+        assert (back.n, back.spec, back.seed, back.kind) == (g.n, g.spec, g.seed, g.kind)
+        assert sorted(back.tensors) == sorted(g.tensors)
+        for p, T in g.tensors.items():
+            np.testing.assert_array_equal(back.tensors[p], T, strict=True)
+
+    @given(tensor_instances())
+    @settings(max_examples=15, deadline=None)
+    def test_every_truncation_named(self, tmp_path_factory, g):
+        # every proper prefix of a valid file fails with a ValueError that
+        # names the part cut short, never struct.error or MemoryError
+        path = tmp_path_factory.mktemp("gltn") / "t.gltn"
+        write_tensors(path, g)
+        size = path.stat().st_size
+        header_len = 5 + 8 + 8 * (g.spec.degree - 1) + 9
+        for length in range(size - 1, -1, -1):
+            os.truncate(path, length)
+            cut = "header" if length < header_len else "body"
+            with pytest.raises(ValueError, match="bad magic" if length < 5 else f"{cut} truncated"):
+                read_tensors(path)
 
 
 class TestSpinEnumeration:

@@ -338,6 +338,33 @@ class TestNgd:
         assert not [r for r in caplog.records if "halved eta" in r.getMessage()]
         assert counts[0] == counts[1]
 
+    @pytest.mark.parametrize("keep_history", [True, False])
+    @pytest.mark.parametrize("eta", [0.05, 4.0], ids=["small-eta", "halving-eta"])
+    @pytest.mark.parametrize("y_rows", [False, True], ids=["shared-y", "per-row-y"])
+    @pytest.mark.parametrize(
+        "coeffs", [{"2": 0.5}, {"2": 0.5, "3": 0.7, "4": 0.2}], ids=["sk", "p234"]
+    )
+    def test_workspace_matches_fresh_arrays(self, coeffs, y_rows, eta, keep_history):
+        # ngd_run reuses one set of arrays for every trial; the same loop with
+        # fresh arrays and `_ftap` without a workspace gives the same bits
+        n, rows, K = 9, 4, 8
+        g = gen_random(MixtureSpec.from_dict(coeffs), n, seed=16)
+        y = rng.stream(16, "ngd-y").standard_normal((rows, n) if y_rows else n)
+        params = TapParams(beta=0.4, q=0.2, gamma_reg=1.0, y=y)
+        u0 = 0.5 * rng.stream(16, "ngd-u0").standard_normal((rows, n))
+        u0_before = u0.copy()
+        states = ngd_run(g, u0, params, eta=eta, K=K, keep_history=keep_history)
+        want, halvings = _fresh_array_ngd(g, u0_before, params, eta, K, keep_history)
+        np.testing.assert_array_equal(u0, u0_before, strict=True)
+        assert (halvings > 0) == (eta > 1.0)
+        assert len(states) == len(want)
+        for got, (u, m, f, gn) in zip(states, want):
+            for a, b in ((got.u, u), (got.m, m), (got.ftap, f), (got.grad_norm, gn)):
+                np.testing.assert_array_equal(a, b, strict=True)
+        arrays = [u0] + [a for s in states for a in (s.u, s.m, s.ftap, s.grad_norm)]
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_u0_checked(self, sk, bad):
         g, params = self._setup(sk, 4, seed=14)
@@ -364,3 +391,32 @@ class TestNgd:
     def test_beta_checked(self, beta):
         with pytest.raises(ValueError, match="beta must be finite"):
             TapParams(beta=beta, q=0.1, gamma_reg=1.0, y=np.zeros(4))
+
+
+def _fresh_array_ngd(g, U, params, eta, K, keep_history):
+    """Reference NGD loop with fresh arrays in every trial: `_ftap` without a
+    workspace.  Returns the (u, m, ftap, grad_norm) of each kept iterate and
+    the number of row halvings."""
+    terms = tap._onsager_terms(g, params)
+    M = tap._clip_interior(np.tanh(U))
+    f, gvec = tap._ftap(g, M, params, *terms)
+    states, halvings = [], 0
+    for _ in range(K):
+        eta_row = np.full(f.shape, eta)
+        noise_tol = 1e-12 * (1.0 + np.abs(f))
+        for attempt in range(tap.MAX_HALVINGS + 1):
+            U_try = U - eta_row[:, None] * gvec
+            M_try = tap._clip_interior(np.tanh(U_try))
+            f_try, g_try = tap._ftap(g, M_try, params, *terms)
+            bad = f_try > f + noise_tol
+            if not np.any(bad):
+                break
+            assert attempt < tap.MAX_HALVINGS
+            eta_row[bad] *= 0.5
+            halvings += int(bad.sum())
+        U, M, f, gvec = U_try, M_try, f_try, g_try
+        if keep_history:
+            states.append((U, M, f, np.linalg.norm(gvec, axis=-1)))
+    if not keep_history:
+        states = [(U, M, f, np.linalg.norm(gvec, axis=-1))]
+    return states, halvings
