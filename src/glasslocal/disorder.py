@@ -96,17 +96,13 @@ class GibbsQuery:
             raise ValueError("tilt y must be finite componentwise")
 
 
-def _active(spec: MixtureSpec) -> list[int]:
-    return [p for p, csq in spec.coeffs if csq > 0]
-
-
 def _check_budget(spec: MixtureSpec, n: int, budget: int):
     if spec.scalar_only:
         raise ValueError(
             f"mixture degree {spec.degree} exceeds the dense-tensor cap; "
             "scalar-only mixtures cannot generate tensors"
         )
-    total = sum(n**p for p in _active(spec))
+    total = sum(n**p for p, _ in spec.coeffs)
     if total > budget:
         raise ValueError(f"tensor budget exceeded: {total} entries > {budget}")
 
@@ -117,7 +113,7 @@ def gen_random(spec: MixtureSpec, n: int, seed: int, budget: int = ENTRY_BUDGET)
         raise ValueError("n must be >= 1")
     _check_budget(spec, n, budget)
     tensors = {}
-    for p in _active(spec):
+    for p, _ in spec.coeffs:
         g = rng.stream(seed, "disorder", p)
         tensors[p] = g.standard_normal(n**p).reshape((n,) * p)
     return DisorderTensors(n=n, spec=spec, tensors=tensors, seed=seed, kind="random")
@@ -365,9 +361,8 @@ def write_tensors(path, g: DisorderTensors) -> None:
         for p in range(2, P + 1):
             f.write(struct.pack("<d", csq.get(p, 0.0)))
         f.write(struct.pack("<QB", g.seed, _KIND_TAGS.get(g.kind, 3)))
-        for p in range(2, P + 1):
-            if csq.get(p, 0.0) > 0:
-                f.write(np.ascontiguousarray(g.tensors[p], dtype="<f8").tobytes())
+        for p in csq:
+            f.write(np.ascontiguousarray(g.tensors[p], dtype="<f8").tobytes())
 
 
 def read_tensors(path) -> DisorderTensors:
@@ -385,19 +380,15 @@ def read_tensors(path) -> DisorderTensors:
             raise ValueError(f"tensor file header truncated: {size} of {header_len} bytes")
         if n < 1:
             raise ValueError("tensor file header has n = 0; n must be >= 1")
-        csq = {}
-        for p in range(2, P + 1):
-            (c,) = struct.unpack("<d", f.read(8))
-            if c != 0.0:
-                csq[p] = c
+        csq = tuple((p, *struct.unpack("<d", f.read(8))) for p in range(2, P + 1))
         seed, tag = struct.unpack("<QB", f.read(9))
-        spec = MixtureSpec(tuple(sorted(csq.items())))
+        spec = MixtureSpec(csq)  # drops the zero terms the format writes
         _check_budget(spec, n, ENTRY_BUDGET)
-        expected = header_len + 8 * sum(n**p for p in csq)
+        expected = header_len + 8 * sum(n**p for p, _ in spec.coeffs)
         if size != expected:
             problem = "body truncated" if size < expected else "has trailing bytes"
             raise ValueError(f"tensor file {problem}: {size} bytes, expected {expected}")
-        tensors = {p: np.fromfile(f, "<f8", n**p).reshape((n,) * p) for p in sorted(csq)}
+        tensors = {p: np.fromfile(f, "<f8", n**p).reshape((n,) * p) for p, _ in spec.coeffs}
     return DisorderTensors(
         n=n, spec=spec, tensors=tensors, seed=seed, kind=_TAG_KINDS.get(tag, "other")
     )

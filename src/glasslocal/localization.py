@@ -7,7 +7,10 @@ One step of the discretized observation process is
 
 where mhat is the message-passing + natural-gradient mean estimate run with
 the precomputed fixed point q_*(beta, l delta).  After L steps the final mean
-is rounded coordinatewise to a spin vector.
+is rounded coordinatewise to a spin vector.  Every degree is p >= 2, so
+grad H(0) = 0 and mhat(G, 0) = 0 exactly: the step from yhat_0 = 0 runs no
+estimator.  (The exact mean of an odd-p mixture at y = 0 need not vanish, so
+a `mean_fn` given to `sample` still runs there.)
 
 Brownian increments and rounding uniforms come from per-replica labeled
 streams, so replicas are reproducible independently of batching, and runs on
@@ -72,7 +75,8 @@ class SampleRun:
     grad_norm_last: np.ndarray  # (R,)
     q_used: np.ndarray  # (L+1,)
     y_trajectory: np.ndarray | None = None  # (L+1, R, n), with keep_trajectory
-    step_grad_norms: np.ndarray | None = None  # (L+1, R), default estimator only
+    # (L+1, R), default estimator only; row 0 is 0, the zero-tilt step is not run
+    step_grad_norms: np.ndarray | None = None
 
 
 def _estimate(
@@ -162,6 +166,10 @@ def sample(
         q = float(q_values[ell])
         if not default_estimator:
             return mean_fn(g, Y, q)
+        if ell == 0:
+            # Y = 0 and grad H(0) = 0 for p >= 2, so AMP stays at m = 0 and NGD
+            # starts at a stationary point of F: the estimate is exactly 0
+            return np.zeros_like(Y)
         it = _estimate(g, Y, params.beta, q, params.k_amp, params.k_ngd, params.eta, params.gamma)
         step_gnorms[ell] = it.grad_norm
         return it.m

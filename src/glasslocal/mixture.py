@@ -27,9 +27,9 @@ class MixtureSpec:
     """The mixture polynomial via its ordered (p, c_p^2) coefficients.
 
     `coeffs` must have strictly increasing p >= 2 and finite, nonnegative
-    c_p^2 with at least one positive entry.  Degrees beyond
-    `TENSOR_DEGREE_CAP` are allowed for scalar-only work and flagged through
-    `scalar_only`.
+    c_p^2 with at least one positive entry; zero terms are then dropped.
+    Degrees beyond `TENSOR_DEGREE_CAP` are allowed for scalar-only work and
+    flagged through `scalar_only`.
     """
 
     coeffs: tuple[tuple[int, float], ...]
@@ -51,8 +51,10 @@ class MixtureSpec:
             total += csq
         if total <= 0:
             raise ValueError("at least one c_p^2 must be positive")
+        # a zero term is dropped once validated: a spec equals its tensor
+        # file's read-back, which cannot tell a zero term from an absent one
         object.__setattr__(
-            self, "coeffs", tuple((int(p), float(c)) for p, c in self.coeffs)
+            self, "coeffs", tuple((int(p), float(c)) for p, c in self.coeffs if c > 0)
         )
         object.__setattr__(self, "scalar_only", self.degree > TENSOR_DEGREE_CAP)
 
@@ -100,7 +102,7 @@ class MixtureSpec:
             raise ValueError("xi is only evaluated on [-1, 1]")
         out = np.zeros_like(t_arr)
         for p, csq in self.coeffs:
-            if csq == 0.0 or p < order:
+            if p < order:
                 continue
             fall = math.perm(p, order)  # p! / (p-order)!
             out = out + csq * fall * t_arr ** (p - order)

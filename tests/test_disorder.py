@@ -408,11 +408,12 @@ class TestTensorFile:
 @st.composite
 def tensor_instances(draw):
     """An instance of n 1..6 with up to p = 4, generated random, planted or
-    interpolated."""
+    interpolated, from a spec that may carry explicit zero terms."""
     n = draw(st.integers(1, 6))
     degrees = draw(st.sets(st.sampled_from([2, 3, 4]), min_size=1))
+    zeros = draw(st.sets(st.sampled_from(sorted(degrees)), max_size=len(degrees) - 1))
     csq = st.floats(1e-3, 1e3, allow_nan=False)
-    spec = MixtureSpec(tuple((p, draw(csq)) for p in sorted(degrees)))
+    spec = MixtureSpec(tuple((p, 0.0 if p in zeros else draw(csq)) for p in sorted(degrees)))
     seed = draw(st.integers(0, 2**64 - 1))
     kind = draw(st.sampled_from(["random", "planted", "interpolated"]))
     if kind == "planted":
@@ -436,6 +437,7 @@ class TestTensorFileProperties:
         assert sorted(back.tensors) == sorted(g.tensors)
         for p, T in g.tensors.items():
             np.testing.assert_array_equal(back.tensors[p], T, strict=True)
+        interpolate(g, back, 0.5)  # a file instance pairs with its source
 
     @given(tensor_instances())
     @settings(max_examples=15, deadline=None)

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,9 @@ from glasslocal import (
     se_recursion,
     simulate_planted_path,
 )
-from glasslocal import rng
+from glasslocal import disorder, localization, rng, tap
 from glasslocal.localization import SamplerParams
+from glasslocal.state_evolution import q_schedule
 from glasslocal.tap import TapParams, ftap_grad
 
 from conftest import planted_instance
@@ -205,6 +208,66 @@ class TestSampler:
         g = gen_random(sk, 4, seed=1)
         with pytest.raises(ValueError, match="beta"):
             sample(g, SamplerParams(beta=bad, L=4))
+
+
+MIXED_ODD = ((2, 0.5), (3, 0.7), (4, 0.2))
+
+
+class TestZeroTiltStep:
+    """The default estimator is 0 at y = 0 (grad H(0) = 0 for p >= 2), so
+    `sample` skips the l = 0 estimate; a `mean_fn` still runs there."""
+
+    KNOBS = dict(k_amp=5, k_ngd=10, eta=0.1, gamma=1.0)
+
+    @pytest.mark.parametrize("coeffs", [((2, 0.5),), MIXED_ODD], ids=["sk", "p234"])
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("ell", [0, 3])
+    def test_estimate_is_zero_at_zero_tilt(self, coeffs, rows, ell):
+        beta, n = 0.4, 7
+        g = gen_random(MixtureSpec(coeffs), n, seed=2)
+        q = float(q_schedule(g.spec, beta, 0.5, 3).values[ell])
+        assert (q > 0.0) == (ell > 0)
+        it = localization._estimate(g, np.zeros((rows, n)), beta, q, **self.KNOBS)
+        np.testing.assert_array_equal(it.m, np.zeros((rows, n)))
+        np.testing.assert_array_equal(it.grad_norm, np.zeros(rows))
+
+    @pytest.mark.parametrize("coeffs", [((2, 0.5),), MIXED_ODD], ids=["sk", "p234"])
+    def test_default_matches_mean_fn_long_path(self, coeffs):
+        # the mean_fn run still executes the l = 0 estimate
+        g = gen_random(MixtureSpec(coeffs), 8, seed=5)
+        p = SamplerParams(beta=0.3, delta=0.25, L=4, seed=42, **self.KNOBS)
+        ells = []
+
+        def long_path(g_, Y, q):
+            ells.append(q)
+            return mean_estimate(g_, Y, p.beta, q, **self.KNOBS)
+
+        short = sample(g, p, n_replicas=3)
+        long = sample(g, p, n_replicas=3, mean_fn=long_path)
+        assert len(ells) == p.L + 1
+        for name in ("mean_final", "x_alg", "final_q"):
+            np.testing.assert_array_equal(getattr(short, name), getattr(long, name), strict=True)
+        np.testing.assert_array_equal(short.step_grad_norms[0], np.zeros(3))
+
+    @pytest.mark.parametrize("coeffs", [((2, 0.5),), MIXED_ODD], ids=["sk", "p234"])
+    def test_kernel_calls_hand_count(self, coeffs, monkeypatch, caplog):
+        # each estimated step makes k_amp AMP gradients, then k_ngd + 1 NGD
+        # value-and-gradient calls without halvings; l = 0 makes none
+        g = gen_random(MixtureSpec(coeffs), 6, seed=3)
+        p = SamplerParams(beta=0.3, delta=0.25, L=3, seed=7, **self.KNOBS)
+        calls = []
+        kernel = disorder._kernel
+
+        def counted(*args):
+            calls.append(args[1].shape)
+            return kernel(*args)
+
+        monkeypatch.setattr(disorder, "_kernel", counted)
+        monkeypatch.setattr(tap, "_kernel", counted)
+        caplog.set_level(logging.DEBUG, logger="glasslocal.tap")
+        sample(g, p, n_replicas=2)
+        assert not [r for r in caplog.records if "halved eta" in r.getMessage()]
+        assert calls == [(2, 6)] * (p.L * (p.k_amp + p.k_ngd + 1))
 
 
 @pytest.fixture(scope="module")

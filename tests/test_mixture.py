@@ -37,6 +37,13 @@ class TestMixtureSpec:
         with pytest.raises(ValueError):
             MixtureSpec(((2, 0.0),))
 
+    def test_zero_terms_dropped(self):
+        # a tensor file cannot tell a zero term from an absent one
+        spec = MixtureSpec(((2, 0.0), (3, 0.7), (4, 0.0)))
+        assert spec.coeffs == ((3, 0.7),)
+        assert spec == MixtureSpec.pure(3, 0.7)
+        assert spec.degree == 3
+
     @pytest.mark.parametrize("csq", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, csq):
         with pytest.raises(ValueError, match="finite"):
