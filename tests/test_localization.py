@@ -236,15 +236,15 @@ class TestZeroTiltStep:
         # the mean_fn run still executes the l = 0 estimate
         g = gen_random(MixtureSpec(coeffs), 8, seed=5)
         p = SamplerParams(beta=0.3, delta=0.25, L=4, seed=42, **self.KNOBS)
-        ells = []
+        qs = []
 
         def long_path(g_, Y, q):
-            ells.append(q)
+            qs.append(q)
             return mean_estimate(g_, Y, p.beta, q, **self.KNOBS)
 
         short = sample(g, p, n_replicas=3)
         long = sample(g, p, n_replicas=3, mean_fn=long_path)
-        assert len(ells) == p.L + 1
+        assert len(qs) == p.L + 1
         for name in ("mean_final", "x_alg", "final_q"):
             np.testing.assert_array_equal(getattr(short, name), getattr(long, name), strict=True)
         np.testing.assert_array_equal(short.step_grad_norms[0], np.zeros(3))
