@@ -437,7 +437,6 @@ class TestTensorFileProperties:
         assert sorted(back.tensors) == sorted(g.tensors)
         for p, T in g.tensors.items():
             np.testing.assert_array_equal(back.tensors[p], T, strict=True)
-        interpolate(g, back, 0.5)  # a file instance pairs with its source
 
     @given(tensor_instances())
     @settings(max_examples=15, deadline=None)

@@ -1,12 +1,12 @@
 """Alternating parent/change pairs of the benchmark, written to BENCH_<n>.json.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --out BENCH_11.json \\
-        --workload mixed-tensor --workload sk-large --seed 1 --seed 2 --pairs 5
+        --workload mixed-tensor --workload sk-large --seed 1 --seed 2
 
 The change side is HEAD.  Each side is exported from git (`git archive`) into
 its own temporary directory, so both sides run their committed files from a
 clean tree with a fresh `.bench_out/`.  For every workload and seed, each
-pair runs
+of PAIRS pairs runs
 
     python3 bench/run.py --workload W --seed S --seconds T --trace 0
 
@@ -34,6 +34,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
 # what the harness reports about the machine and the tree, from its env.json
 ENV_KEYS = ("python", "numpy", "blas", "blas_threads", "nproc", "src_lines")
+# pairs per workload and seed: the fewest that can show a gain on nine of ten
+PAIRS = 10
 
 
 def _git(*args: str) -> bytes:
@@ -63,8 +65,6 @@ def bench(tree: str, workload: str, seed: int, seconds: float) -> tuple[dict, di
 
 
 def quartiles(values: list[float]) -> dict:
-    if len(values) < 2:
-        return {"q1": values[0], "median": values[0], "q3": values[0]}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": q1, "median": median, "q3": q3}
 
@@ -95,11 +95,8 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="git rev of the parent side")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seed", type=int, action="append", required=True)
-    parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--out", required=True, help="BENCH_<n>.json to write")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be >= 1")
 
     revs = (args.parent, "HEAD")
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
@@ -112,7 +109,7 @@ def main(argv=None) -> int:
         runs, envs = [], {}
         for workload in args.workload:
             for seed in args.seed:
-                for pair in range(args.pairs):
+                for pair in range(PAIRS):
                     for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
                         result, env = bench(trees[side], workload, seed, seconds)
                         envs.setdefault(side, {k: env.get(k) for k in ENV_KEYS})
@@ -128,7 +125,7 @@ def main(argv=None) -> int:
     report = {
         "command": "python3 bench/run.py --workload W --seed S "
                    f"--seconds {seconds:g} --trace 0",
-        "pairs": args.pairs,
+        "pairs": PAIRS,
         "sides": {side: {"rev": rev, "sha": shas[side], **envs[side]}
                   for side, rev in zip(SIDES, revs)},
         "summary": summarize(runs, better),
