@@ -25,7 +25,8 @@ __all__ = ["AmpState", "amp_run", "onsager", "amp_lipschitz_probe"]
 
 logger = logging.getLogger(__name__)
 
-#: |z| is clamped here so the natural-parameter handoff stays invertible.
+#: |z| is clamped here, which bounds NGD's starting point u0 = z.  (tanh(z)
+#: rounds to 1.0 from |z| ~ 19 on; NGD works in u and never inverts it.)
 Z_CLAMP = 40.0
 
 

@@ -36,7 +36,7 @@ from .experiments import chaos_experiment, stability_experiment
 from .localization import SamplerParams, sample
 from .mixture import MixtureSpec
 from .state_evolution import _psi_at, mse_prediction, q_schedule, se_recursion, thresholds
-from .tap import TapParams, _clip_interior, _ftap, _onsager_terms, relative_hessian_extremes
+from .tap import TapParams, _ftap, _onsager_terms, relative_hessian_extremes
 from .validate import run_validation
 
 __all__ = ["main"]
@@ -81,9 +81,21 @@ def _hex_to_spins(h: str, n: int) -> np.ndarray:
     return 2.0 * bits.astype(float) - 1.0
 
 
+def _spec(cfg: dict) -> MixtureSpec:
+    """The run's mixture: the config's, or else the tensor file's."""
+    return MixtureSpec.from_dict(cfg["mixture"]) if "mixture" in cfg else _load_tensors(cfg).spec
+
+
 def _load_tensors(cfg: dict) -> DisorderTensors:
+    """A tensor file's instance, whose mixture the config then holds (a given
+    `mixture` must be the file's), or one generated from the config."""
     if cfg.get("tensor_file"):
-        return read_tensors(cfg["tensor_file"])
+        g = read_tensors(cfg["tensor_file"])
+        given = cfg.setdefault("mixture", g.spec.to_dict())
+        if MixtureSpec.from_dict(given) != g.spec:
+            msg = f"{given} differs from the tensor file's {g.spec.to_dict()}"
+            raise ConfigError(f"config field 'mixture': {msg}")
+        return g
     spec = MixtureSpec.from_dict(cfg["mixture"])
     if cfg["gen"]["mode"] == "planted":
         x = _planted_x(cfg)
@@ -115,13 +127,13 @@ def _cmd_gen_disorder(cfg: dict) -> None:
 
 
 def _cmd_thresholds(cfg: dict) -> None:
-    spec = MixtureSpec.from_dict(cfg["mixture"])
+    spec = _spec(cfg)
     rep = thresholds(spec, c0=cfg["thresholds"]["c0"], dyn_ceiling=cfg["thresholds"]["dyn_ceiling"])
     _write_result(cfg.get("out"), json.dumps(rep.to_dict(), indent=2, sort_keys=True) + "\n", cfg)
 
 
 def _cmd_se(cfg: dict) -> None:
-    spec = MixtureSpec.from_dict(cfg["mixture"])
+    spec = _spec(cfg)
     beta = cfg["beta"]
     ts = np.arange(0.0, cfg["se"]["t_max"] + cfg["se"]["t_step"] / 2, cfg["se"]["t_step"])
     rows = []
@@ -165,13 +177,12 @@ def _cmd_tap(cfg: dict) -> None:
         y = t * (x if x is not None else 0.0) + math.sqrt(t) * z
     else:
         y = np.zeros(g.n)
-    if cfg["tap"]["m_source"] == "amp":
-        m = amp_run(g, y, beta, cfg["tap"]["k_amp"], keep_history=False)[-1].m_hat
-        m = _clip_interior(m)
-    else:
-        m = np.zeros(g.n)
+    u = np.zeros(g.n)
+    if cfg["tap"]["m_source"] == "amp":  # AMP's z is the natural parameter
+        u = amp_run(g, y, beta, cfg["tap"]["k_amp"], keep_history=False)[-1].z
+    m = np.tanh(u)
     params = TapParams(beta=beta, q=cfg["tap"]["q"], gamma_reg=cfg["tap"]["gamma"], y=y)
-    value, gvec = _ftap(g, m[None], params, *_onsager_terms(g, params))  # one kernel call
+    value, gvec = _ftap(g, u[None], m[None], params, *_onsager_terms(g, params))  # one kernel call
     grad_norm = np.linalg.norm(gvec[0])
     report = {
         "ftap_value": value[0],
@@ -261,7 +272,7 @@ def _cmd_w2(cfg: dict) -> None:
 
 
 def _cmd_chaos(cfg: dict) -> None:
-    spec = MixtureSpec.from_dict(cfg["mixture"])
+    spec = _spec(cfg)
     ch = cfg["chaos"]
     seeds = [cfg["seed"] + i for i in range(ch["n_seeds"])]
     rows = chaos_experiment(
@@ -272,7 +283,7 @@ def _cmd_chaos(cfg: dict) -> None:
 
 
 def _cmd_stability(cfg: dict) -> None:
-    spec = MixtureSpec.from_dict(cfg["mixture"])
+    spec = _spec(cfg)
     st = cfg["stability"]
     seeds = [cfg["seed"] + i for i in range(st["n_seeds"])]
     rows = stability_experiment(

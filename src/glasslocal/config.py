@@ -214,8 +214,12 @@ def _walk(schema: dict, value, path: tuple):
 
 
 def resolve_config(cfg: dict) -> dict:
-    """Validate and materialize every default the kind consumes."""
-    return _walk(CONFIG_SCHEMA, cfg, ())
+    """Validate and materialize every default the kind consumes.  Beside a
+    `tensor_file`, `mixture` gets no default: the file's is the run's."""
+    out = _walk(CONFIG_SCHEMA, cfg, ())
+    if cfg.get("tensor_file") and "mixture" not in cfg:
+        del out["mixture"]
+    return out
 
 
 def dump_config(cfg: dict) -> str:

@@ -10,7 +10,8 @@ with Q(m) = ||m||^2/n and the per-site Onsager term
 ons(Q) = (beta^2/2)(xi(1) - xi(Q) - (1-Q) xi'(Q)) and ons' = -b/2, b the AMP
 memory coefficient (`mixture` holds both; NGD evaluates them once per run).
 NGD performs plain gradient steps in the natural parameter u = atanh(m), which
-is mirror descent under the binary-entropy Bregman divergence.
+is mirror descent under the binary-entropy Bregman divergence.  F is evaluated
+at u itself, so m = tanh(u) may round to +-1 (where h(+-1) = 0).
 """
 
 from __future__ import annotations
@@ -37,10 +38,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-#: tanh(u) is pulled inside +-(1 - BOUNDARY_MARGIN) before any atanh/entropy
-#: evaluation, keeping every iterate strictly interior.
-BOUNDARY_MARGIN = 1e-12
 
 #: A rejected NGD step halves its row's learning rate at most this many times.
 MAX_HALVINGS = 30
@@ -95,9 +92,9 @@ def _ftap_work(g: DisorderTensors, rows: int):
     return gr, (h, kscratch, *(np.empty_like(gr) for _ in range(3)))
 
 
-def _ftap(g: DisorderTensors, M: np.ndarray, params: TapParams, ons_q, b, work=None):
-    """Value (rows,) and gradient (rows, n) of the modified free energy at rows
-    M that the caller keeps interior, from one kernel call; (ons_q, b) = `_onsager_terms`.
+def _ftap(g: DisorderTensors, U, M, params: TapParams, ons_q, b, work=None):
+    """Value (rows,) and gradient (rows, n) of the modified free energy at rows U
+    of natural parameters, M = tanh(U), from one kernel call; (ons_q, b) = `_onsager_terms`.
 
     Every (rows, n) step is written into `work` (`_ftap_work(g, rows)`,
     allocated when not given), whose first array receives the gradient.  The
@@ -117,10 +114,10 @@ def _ftap(g: DisorderTensors, M: np.ndarray, params: TapParams, ons_q, b, work=N
         - n * (ons_q + (-0.5 * b) * (Q - q))
         + n * gam * beta / 8.0 * (Q - q) ** 2
     )
-    # -beta grad H - y + atanh(M) + b M + (Gamma beta / 2)(Q - q) M, in order
+    # -beta grad H - y + U + b M + (Gamma beta / 2)(Q - q) M, in order
     dval *= -beta
     dval -= y
-    dval += np.arctanh(M, out=t)
+    dval += U
     dval += np.multiply(b, M, out=t)
     dval += np.multiply((0.5 * gam * beta) * (Q - q)[:, None], M, out=t)
     return val, dval
@@ -130,14 +127,22 @@ def ftap_value(g: DisorderTensors, m: np.ndarray, params: TapParams):
     """Value of the modified free energy at interior m (vector or batch)."""
     M, lead = _rows(m, g.n)
     _check_interior(M)
-    return _ftap(g, M, params, *_onsager_terms(g, params))[0].reshape(lead)[()]
+    return _ftap(g, np.arctanh(M), M, params, *_onsager_terms(g, params))[0].reshape(lead)[()]
 
 
 def ftap_grad(g: DisorderTensors, m: np.ndarray, params: TapParams):
     """Gradient: -beta grad H - y + atanh(m) + b(q) m + (Gamma beta / 2)(Q(m) - q) m."""
     M, lead = _rows(m, g.n)
     _check_interior(M)
-    return _ftap(g, M, params, *_onsager_terms(g, params))[1].reshape(lead + (g.n,))
+    return _ftap(g, np.arctanh(M), M, params, *_onsager_terms(g, params))[1].reshape(lead + (g.n,))
+
+
+def _hessian_rest(g: DisorderTensors, mv: np.ndarray, params: TapParams) -> np.ndarray:
+    """`ftap_hessian` less its entropy diagonal D(m), defined on [-1, 1]^n."""
+    beta, q, gam = params.beta, params.q, params.gamma_reg
+    R = -beta * hessian(g, mv)  # enforces the size cap and rejects a batch
+    R[np.diag_indices(g.n)] += onsager(g.spec, beta, q) + 0.5 * gam * beta * (mv @ mv / g.n - q)
+    return R + (gam * beta / g.n) * np.outer(mv, mv)
 
 
 def ftap_hessian(g: DisorderTensors, m: np.ndarray, params: TapParams) -> np.ndarray:
@@ -145,24 +150,22 @@ def ftap_hessian(g: DisorderTensors, m: np.ndarray, params: TapParams) -> np.nda
     + (Gamma beta / n) m m^T, D = diag(1/(1-m_i^2))."""
     mv = np.asarray(m, dtype=float)
     _check_interior(mv)
-    beta, q, gam = params.beta, params.q, params.gamma_reg
-    H = -beta * hessian(g, mv)  # enforces the size cap and rejects a batch
-    Q = float(mv @ mv) / g.n
+    H = _hessian_rest(g, mv, params)
     H[np.diag_indices(g.n)] += 1.0 / (1.0 - mv * mv)
-    reg = 0.5 * gam * beta * (Q - q)
-    H[np.diag_indices(g.n)] += onsager(g.spec, beta, q) + reg
-    H += (gam * beta / g.n) * np.outer(mv, mv)
     return H
 
 
 def relative_hessian_extremes(
     g: DisorderTensors, m: np.ndarray, params: TapParams
 ) -> tuple[float, float]:
-    """Extreme eigenvalues of D(m)^{-1/2} hess F D(m)^{-1/2}."""
+    """Extreme eigenvalues of D^{-1/2} hess F D^{-1/2} = I + S R S, S = D(m)^{-1/2} =
+    diag(sqrt(1 - m_i^2)), R = `_hessian_rest`; a coordinate at +-1 gives eigenvalue 1."""
     mv = np.asarray(m, dtype=float)
-    H = ftap_hessian(g, mv, params)
-    d_inv_sqrt = np.sqrt(1.0 - mv * mv)
-    A = H * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
+    if not np.all(np.abs(mv) <= 1.0):
+        raise ValueError("m must be finite and lie in [-1, 1]^n")
+    s = np.sqrt(1.0 - mv * mv)
+    A = _hessian_rest(g, mv, params) * np.outer(s, s)
+    A[np.diag_indices(g.n)] += 1.0
     w = np.linalg.eigvalsh(A)
     return float(w[0]), float(w[-1])
 
@@ -179,10 +182,6 @@ def bregman(m: np.ndarray, nvec: np.ndarray) -> float:
         + _entropy_terms(nvec).sum(axis=-1)
         - np.arctanh(nvec) @ (m - nvec)
     )
-
-
-def _clip_interior(m: np.ndarray, out=None) -> np.ndarray:
-    return np.clip(m, -1.0 + BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, out=out)
 
 
 def ngd_run(
@@ -218,9 +217,9 @@ def ngd_run(
     if not np.all(np.isfinite(U)):
         raise ValueError("u0 must be finite")
     terms = _onsager_terms(g, params)
-    U, M = U.copy(), _clip_interior(np.tanh(U))  # a copy: u0 is never written
+    U, M = U.copy(), np.tanh(U)  # a copy: u0 is never written
     gvec, scratch = _ftap_work(g, len(U))
-    f, _ = _ftap(g, M, params, *terms, (gvec, scratch))
+    f, _ = _ftap(g, U, M, params, *terms, (gvec, scratch))
     U_try, M_try, g_try = np.empty_like(U), np.empty_like(M), np.empty_like(gvec)
 
     def _mk_state(U, Mm, f, gvec):
@@ -239,8 +238,8 @@ def ngd_run(
         noise_tol = 1e-12 * (1.0 + np.abs(f))
         for attempt in range(MAX_HALVINGS + 1):
             np.subtract(U, np.multiply(eta_row[:, None], gvec, out=U_try), out=U_try)
-            _clip_interior(np.tanh(U_try, out=M_try), out=M_try)
-            f_try, _ = _ftap(g, M_try, params, *terms, (g_try, scratch))
+            np.tanh(U_try, out=M_try)
+            f_try, _ = _ftap(g, U_try, M_try, params, *terms, (g_try, scratch))
             bad = f_try > f + noise_tol
             if not np.any(bad):
                 break

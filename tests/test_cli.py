@@ -412,6 +412,49 @@ def test_amp_tensor_file_predicts_from_its_mixture(tmp_path):
     assert [float(r[3]) for r in rows] == [1.0 - prof.q_sequence[int(r[0]) + 1] for r in rows]
 
 
+class TestTensorFileMixture:
+    """With a tensor file, the run's mixture is the file's: the echo holds it,
+    and a given mixture that differs is a config error."""
+
+    SAMPLE = ["--beta", "0.3", "--set", "sampler.L=3", "--set", "sampler.delta=0.25",
+              "--set", "sampler.k_amp=3", "--set", "sampler.k_ngd=5"]
+
+    @pytest.fixture()
+    def path(self, tmp_path):
+        path = tmp_path / "t.gltn"
+        mix = '{"2": 0.5, "3": 0.7}'
+        assert run_cli("gen-disorder", "--mixture", mix, "--n", "6", "--out", str(path)) == 0
+        return path
+
+    @pytest.mark.parametrize("kind", ["sample", "thresholds"])
+    def test_echo_is_the_files_and_reruns(self, path, tmp_path, kind):
+        out, again = tmp_path / "s.csv", tmp_path / "again.csv"
+        assert run_cli(kind, "--tensor-file", str(path), *self.SAMPLE, "--out", str(out)) == 0
+        echo = json.loads((tmp_path / "s.csv.config.json").read_text())
+        assert echo["mixture"] == {"2": 0.5, "3": 0.7}
+        echo["out"] = str(again)
+        (tmp_path / "echo.json").write_text(json.dumps(echo))
+        assert run_cli(kind, "--config", str(tmp_path / "echo.json")) == 0
+        assert again.read_bytes() == out.read_bytes()
+
+    def test_same_mixture_accepted(self, path, tmp_path):
+        out = tmp_path / "s.csv"
+        flags = ["--mixture", '{"3": 0.7, "2": 0.5, "4": 0.0}', "--out", str(out)]
+        assert run_cli("sample", "--tensor-file", str(path), *self.SAMPLE, *flags) == 0
+
+    def test_conflicting_mixture_rejected(self, path, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        flags = ["--mixture", '{"4": 1.0}', "--out", str(out)]
+        assert run_cli("sample", "--tensor-file", str(path), *self.SAMPLE, *flags) == 2
+        err = capsys.readouterr().err
+        assert "config field 'mixture'" in err and "tensor file" in err
+        assert not out.exists()
+
+    def test_no_default_mixture_beside_a_file(self):
+        assert "mixture" not in resolve_config({"kind": "sample", "tensor_file": "t.gltn"})
+        assert resolve_config({"kind": "sample"})["mixture"] == {"2": 0.5}
+
+
 def test_se_one_fixed_point_per_row(tmp_path, monkeypatch):
     from glasslocal import cli, state_evolution
 

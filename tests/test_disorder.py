@@ -1,6 +1,7 @@
 import math
 import os
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -452,6 +453,64 @@ class TestTensorFileProperties:
             cut = "header" if length < header_len else "body"
             with pytest.raises(ValueError, match="bad magic" if length < 5 else f"{cut} truncated"):
                 read_tensors(path)
+
+
+_COEFFS = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, 5e-324, math.nan, math.inf, -math.inf]),
+    st.floats(1e-3, 10.0),
+)
+
+
+@st.composite
+def tensor_headers(draw):
+    """(n, P, coefficients, seed, kind tag, body length) of a fuzzed file:
+    n, P and seed up to their u32/u64 limits, any c_p^2, any tag, and a body
+    short of, equal to or past what a well-formed header asks for."""
+    n = draw(st.one_of(st.integers(1, 6), st.just(0), st.integers(0, 2**32 - 1)))
+    P = draw(st.one_of(st.integers(2, 4), st.integers(0, 6), st.integers(0, 2**32 - 1)))
+    k = max(P - 1, 0) if P <= 7 else draw(st.integers(0, 6))  # a huge P: a short header
+    coeffs = draw(st.lists(_COEFFS, min_size=k, max_size=k))
+    seed, tag = draw(st.integers(0, 2**64 - 1)), draw(st.integers(0, 255))
+    delta = draw(st.one_of(st.just(0), st.sampled_from([-9, -8, -1, 1, 8])))
+    entries = sum(n**p for p, c in zip(range(2, P + 1), coeffs) if c > 0) if P <= 7 else 0
+    body = 8 * entries + delta if entries <= 4096 else draw(st.integers(0, 64))
+    return n, P, coeffs, seed, tag, max(body, 0)
+
+
+def _complete(P, coeffs):
+    """Whether a fuzzed header has one c_p^2 for each p = 2..P."""
+    return len(coeffs) == max(P - 1, 0)
+
+
+class TestTensorFileHeaderFuzz:
+    @given(tensor_headers())
+    @settings(max_examples=300, deadline=None)
+    def test_instance_or_named_error(self, tmp_path_factory, header):
+        # read_tensors returns the instance the header describes or raises a
+        # ValueError naming the problem, before it reads any body; never
+        # struct.error, MemoryError or OverflowError
+        n, P, coeffs, seed, tag, body = header
+        path = tmp_path_factory.mktemp("fuzz") / "h.gltn"
+        raw = b"GLTN1" + struct.pack("<II", n, P) + struct.pack(f"<{len(coeffs)}d", *coeffs)
+        path.write_bytes(raw + struct.pack("<QB", seed, tag) + bytes(body))
+        try:
+            want = MixtureSpec(tuple(zip(range(2, P + 1), coeffs)))
+        except ValueError:
+            want = None
+        with mock.patch.object(np, "fromfile", wraps=np.fromfile) as fromfile:
+            try:
+                g = read_tensors(path)
+            except ValueError as e:
+                assert str(e)
+                fromfile.assert_not_called()
+                if want is not None and n >= 1 and not want.scalar_only and _complete(P, coeffs):
+                    total = sum(n**p for p, _ in want.coeffs)
+                    assert (total > disorder.ENTRY_BUDGET) == ("budget" in str(e))
+                return
+        assert want is not None and _complete(P, coeffs)
+        assert (g.n, g.spec, g.seed) == (n, want, seed)
+        assert g.kind == {0: "random", 1: "planted", 2: "interpolated"}.get(tag, "other")
+        assert all(T.shape == (n,) * p for p, T in g.tensors.items())
 
 
 class TestSpinEnumeration:

@@ -5,6 +5,7 @@ import pytest
 
 from glasslocal import (
     MixtureSpec,
+    amp_run,
     exact_gibbs,
     exact_mean_batch,
     gen_random,
@@ -174,7 +175,8 @@ class TestSampler:
     @pytest.mark.parametrize("n_replicas", [1, 3])
     def test_grad_norm_last_is_final_step_norm(self, sk, n_replicas):
         # grad_norm_last is the last NGD iterate's norm per sqrt(n), and that
-        # equals ||grad F(mean_final)|| recomputed at (Y_L, q_L)
+        # equals ||grad F(mean_final)|| recomputed at (Y_L, q_L) up to rounding:
+        # NGD's gradient uses u where ftap_grad uses atanh(tanh(u))
         n = 6
         g = gen_random(sk, n, seed=8)
         p = SamplerParams(
@@ -186,7 +188,7 @@ class TestSampler:
         tp = TapParams(beta=p.beta, q=float(run.q_used[p.L]), gamma_reg=p.gamma,
                        y=np.atleast_2d(run.y_trajectory[p.L]))
         direct = np.linalg.norm(ftap_grad(g, np.atleast_2d(run.mean_final), tp), axis=-1)
-        np.testing.assert_array_equal(gn, direct / np.sqrt(n))
+        np.testing.assert_allclose(gn, direct / np.sqrt(n), rtol=1e-11)
 
     def test_q_schedule_used(self, sk):
         g = gen_random(sk, 5, seed=1)
@@ -268,6 +270,34 @@ class TestZeroTiltStep:
         sample(g, p, n_replicas=2)
         assert not [r for r in caplog.records if "halved eta" in r.getMessage()]
         assert calls == [(2, 6)] * (p.L * (p.k_amp + p.k_ngd + 1))
+
+
+class TestPinnedCoordinates:
+    """At the criterion-05 shape the last step's tilt is about T x = 20 x, so
+    AMP hands NGD fields |u| > 19.1, where tanh(u) rounds to +-1.  F is
+    evaluated at u, so NGD still reaches a stationary point.  (Evaluating F
+    at m clipped to 1 - 1e-12 left ||grad F|| / sqrt(n) near 7 there.)"""
+
+    def test_stationary_at_last_step(self, sk, caplog):
+        g = gen_random(sk, 10, seed=100)
+        p = SamplerParams(beta=0.25, delta=0.05, L=400, k_amp=30, k_ngd=100, eta=0.1,
+                          gamma=1.0, keep_trajectory=True)
+        caplog.set_level(logging.DEBUG, logger="glasslocal.tap")
+        run = sample(g, p, n_replicas=4)
+        assert np.median(run.grad_norm_last) <= 1e-6
+        # the last step again, keeping every NGD iterate
+        Y = run.y_trajectory[p.L]
+        u0 = amp_run(g, Y, p.beta, p.k_amp)[-1].z
+        assert np.any(np.abs(u0) > 19.1)
+        tp = TapParams(beta=p.beta, q=float(run.q_used[p.L]), gamma_reg=p.gamma, y=Y)
+        traj = tap.ngd_run(g, u0, tp, p.eta, p.k_ngd)
+        np.testing.assert_array_equal(traj[-1].m, run.mean_final, strict=True)
+        for it in traj:
+            pinned = np.abs(it.u) > 19.1
+            assert np.all(np.abs(it.m[pinned]) == 1.0)
+            assert np.all(np.isfinite(it.ftap)) and np.all(np.isfinite(it.grad_norm))
+        assert np.any(np.abs(traj[-1].u) > 19.1)
+        assert not [r for r in caplog.records if "halved eta" in r.getMessage()]
 
 
 @pytest.fixture(scope="module")

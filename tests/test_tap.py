@@ -191,6 +191,37 @@ class TestRelativeHessian:
             hits += lo >= 1.0 - 2.2 * beta
         assert hits >= 48
 
+    def test_pinned_coordinate(self, mixed, gen):
+        # a coordinate at +-1 gives the eigenvalue 1; the others are the
+        # interior formula D^{-1/2} hess F D^{-1/2} on the free coordinates,
+        # with hess F written out from its definition at the full m
+        from glasslocal import hessian, onsager
+
+        n, beta, q, gam = 8, 0.9, 0.3, 1.2
+        g = gen_random(mixed, n, seed=9)
+        m = gen.uniform(-0.8, 0.8, n)
+        m[[2, 5]] = 1.0, -1.0
+        params = TapParams(beta=beta, q=q, gamma_reg=gam, y=np.zeros(n))
+        free = np.abs(m) < 1.0
+        H = -beta * hessian(g, m) + (gam * beta / n) * np.outer(m, m)
+        H += (onsager(mixed, beta, q) + 0.5 * gam * beta * (m @ m / n - q)) * np.eye(n)
+        H += np.diag(np.where(free, 1.0 / (1.0 - np.where(free, m, 0.0) ** 2), 0.0))
+        s = np.sqrt(1.0 - m[free] ** 2)
+        w = np.linalg.eigvalsh(H[np.ix_(free, free)] * np.outer(s, s))
+        assert w[0] < 1.0 < w[-1]  # so the extremes below are the free block's
+        lo, hi = relative_hessian_extremes(g, m, params)
+        assert lo == pytest.approx(w[0], rel=1e-12)
+        assert hi == pytest.approx(w[-1], rel=1e-12)
+        # with every coordinate pinned the matrix is the identity
+        assert relative_hessian_extremes(g, np.sign(m), params) == (1.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [1.0 + 1e-12, np.nan])
+    def test_outside_cube_rejected(self, sk, bad):
+        g = gen_random(sk, 3, seed=9)
+        params = TapParams(beta=0.3, q=0.1, gamma_reg=1.0, y=np.zeros(3))
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+            relative_hessian_extremes(g, np.array([0.1, bad, -1.0]), params)
+
     def test_golden_spectrum_regression(self, sk):
         # one pinned seed, recorded from the implementation
         n = 60
@@ -299,7 +330,7 @@ class TestNgd:
     @pytest.mark.parametrize("keep_history", [True, False])
     def test_one_kernel_call_per_trial(self, mixed, monkeypatch, caplog, keep_history):
         # without halvings, K steps make K + 1 fused value-and-gradient calls,
-        # and the carried gradient is the one ftap_grad computes
+        # and the carried gradient is the one `_ftap` computes at the final u
         g, params = self._setup(mixed, 9, seed=15)
         calls = []
 
@@ -315,7 +346,8 @@ class TestNgd:
         assert not [r for r in caplog.records if "halved eta" in r.getMessage()]
         assert calls == [(3, 9)] * (K + 1)
         final = states[-1]
-        want = np.linalg.norm(ftap_grad(g, final.m, params), axis=-1)
+        _, gvec = tap._ftap(g, final.u, final.m, params, *tap._onsager_terms(g, params))
+        want = np.linalg.norm(gvec, axis=-1)
         np.testing.assert_array_equal(final.grad_norm, want, strict=True)
 
     def test_onsager_terms_once_per_run(self, mixed, monkeypatch, caplog):
@@ -398,16 +430,16 @@ def _fresh_array_ngd(g, U, params, eta, K, keep_history):
     workspace.  Returns the (u, m, ftap, grad_norm) of each kept iterate and
     the number of row halvings."""
     terms = tap._onsager_terms(g, params)
-    M = tap._clip_interior(np.tanh(U))
-    f, gvec = tap._ftap(g, M, params, *terms)
+    M = np.tanh(U)
+    f, gvec = tap._ftap(g, U, M, params, *terms)
     states, halvings = [], 0
     for _ in range(K):
         eta_row = np.full(f.shape, eta)
         noise_tol = 1e-12 * (1.0 + np.abs(f))
         for attempt in range(tap.MAX_HALVINGS + 1):
             U_try = U - eta_row[:, None] * gvec
-            M_try = tap._clip_interior(np.tanh(U_try))
-            f_try, g_try = tap._ftap(g, M_try, params, *terms)
+            M_try = np.tanh(U_try)
+            f_try, g_try = tap._ftap(g, U_try, M_try, params, *terms)
             bad = f_try > f + noise_tol
             if not np.any(bad):
                 break
