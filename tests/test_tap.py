@@ -205,9 +205,9 @@ class TestRelativeHessian:
         free = np.abs(m) < 1.0
         H = -beta * hessian(g, m) + (gam * beta / n) * np.outer(m, m)
         H += (onsager(mixed, beta, q) + 0.5 * gam * beta * (m @ m / n - q)) * np.eye(n)
-        H += np.diag(np.where(free, 1.0 / (1.0 - np.where(free, m, 0.0) ** 2), 0.0))
-        s = np.sqrt(1.0 - m[free] ** 2)
-        w = np.linalg.eigvalsh(H[np.ix_(free, free)] * np.outer(s, s))
+        d = 1.0 - m[free] ** 2  # D^{-1} on the free coordinates
+        HJ = H[np.ix_(free, free)] + np.diag(1.0 / d)
+        w = np.linalg.eigvalsh(HJ * np.sqrt(np.outer(d, d)))
         assert w[0] < 1.0 < w[-1]  # so the extremes below are the free block's
         lo, hi = relative_hessian_extremes(g, m, params)
         assert lo == pytest.approx(w[0], rel=1e-12)
