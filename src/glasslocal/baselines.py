@@ -18,7 +18,7 @@ from .disorder import (
     DisorderTensors,
     GibbsQuery,
     _logsumexp,
-    _symmetric,
+    _packed,
     all_spins,
     hamiltonian,
     hamiltonian_table,
@@ -139,7 +139,7 @@ def glauber_run(
     gen = rng.stream(seed, "glauber")
     quadratic_only = g.active_degrees() == [2]
     if quadratic_only:
-        S = g.spec.c(2) / math.sqrt(n) * _symmetric(g)[2]  # S_2 = G2 + G2^T
+        S = g.spec.c(2) / math.sqrt(n) * _packed(g)[1][2]  # C_2 = G2 + G2^T
         field = S @ x
     out = []
     for sweep in range(sweeps):

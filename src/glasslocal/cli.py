@@ -31,7 +31,14 @@ from .baselines import (
     read_batch_bits,
 )
 from .config import ConfigError, CONFIG_SCHEMA, dump_config, resolve_config
-from .disorder import DisorderTensors, gen_planted, gen_random, read_tensors, write_tensors
+from .disorder import (
+    HESSIAN_CAP,
+    DisorderTensors,
+    gen_planted,
+    gen_random,
+    read_tensors,
+    write_tensors,
+)
 from .experiments import chaos_experiment, stability_experiment
 from .localization import SamplerParams, sample
 from .mixture import MixtureSpec
@@ -171,6 +178,11 @@ def _cmd_amp(cfg: dict) -> None:
 def _cmd_tap(cfg: dict) -> None:
     beta, t = cfg["beta"], cfg["tap"]["t"]
     g = _load_tensors(cfg)
+    if cfg["tap"]["spectrum"] and g.n > HESSIAN_CAP:
+        raise ConfigError(
+            f"config field 'tap/spectrum': the spectrum needs a dense Hessian, capped at "
+            f"n = {HESSIAN_CAP}, and n = {g.n}; pass --set tap.spectrum=false"
+        )
     x = g.meta.get("x") if g.kind == "planted" else None
     if t > 0:
         z = rng.stream(cfg["seed"], "amp-y").standard_normal(g.n)

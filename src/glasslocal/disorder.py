@@ -2,20 +2,22 @@
 
 A disorder instance is one dense, raw (unsymmetrized) i.i.d. N(0,1) tensor
 per active degree p.  Evaluation runs on a private cache built from them on
-the first kernel call: per degree, S_p = (1/(p-1)!) sum over the p! slot
-permutations of T, so that contracting any p-1 slots of S_p with x gives
-the gradient of <T, x^(x)p> and one more dot with x gives p times its
-value.  One kernel gives both, on rows, in one contiguous BLAS pass per
-tensor, `X @ S.reshape(n, -1)`, and a per-row chain over its (rows,
-n^(p-1)) result; the cache doubles the tensor memory while an instance is
-evaluated.  Rows go through in blocks (`BLOCK_ENTRIES`).  All entries come
-from Philox streams keyed by (seed, p), so a planted instance shares its
-noise part bit-for-bit with the random instance of the same seed.
+the first kernel call: per degree, the packed coefficients C_p of the
+gradient, one row per sorted (p-1)-multiset gamma of indices, C(n+p-2, p-1)
+rows of n, so that grad <T, x^(x)p> = phi_{p-1}(x) @ C_p, where
+phi_{p-1}(x) = (x^gamma) are the degree-(p-1) monomials, and one more dot
+with x gives p times the value.  The monomials are built one level at a
+time from index arrays in the same cache, and the Hessian reads C_p through
+their Jacobian.  One kernel gives value and gradient on rows, in one GEMM
+per degree; C_p has about n^p/(p-1)! entries (for p = 2, C_2 = T + T^T), so
+the cache is smaller than the tensor it is built from.  Rows go through in
+blocks (`BLOCK_ENTRIES`).  All entries come from Philox streams keyed by
+(seed, p), so a planted instance shares its noise part bit-for-bit with the
+random instance of the same seed.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import struct
@@ -50,9 +52,10 @@ HESSIAN_CAP = 512
 #: Exact enumeration (2^n states) is capped here.
 ENUMERATION_CAP = 20
 
-#: Rows are contracted in blocks, one pass over each tensor per block.  A
-#: block's (rows, n^(p-1)) intermediate holds at most this many entries
-#: (256 KB), or a quarter of the tensor's entries (n/4 rows) if that is more.
+#: Rows are contracted in blocks, one GEMM per degree per block.  A block's
+#: top monomial level (K, rows) holds at most this many entries (256 KB), or
+#: a quarter of C_P's (n/4 rows) if that is more; the row count is rounded
+#: down to a power of two.  Building C_p takes T in slabs of this size.
 BLOCK_ENTRIES = 1 << 15
 
 _MAGIC = b"GLTN1"
@@ -71,8 +74,8 @@ class DisorderTensors:
     seed: int
     kind: str = "random"  # random | planted | interpolated
     meta: dict = field(default_factory=dict)
-    # {p: S_p}, filled by `_symmetric` on the first kernel call
-    _sym: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (monomial levels, {p: C_p}), filled by `_packed` on the first kernel call
+    _cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def active_degrees(self) -> list[int]:
         return sorted(self.tensors)
@@ -192,83 +195,108 @@ def _rows(x, n: int):
     return x.reshape(-1, n), x.shape[:-1]
 
 
-def _symmetrize(T: np.ndarray) -> np.ndarray:
-    """S = (1/(p-1)!) sum_perm T.transpose(perm), summed in place in
-    `itertools.permutations` order; for p = 2 it is exactly T + T^T."""
-    S = T.copy()
-    for perm in itertools.islice(itertools.permutations(range(T.ndim)), 1, None):
-        S += T.transpose(perm)
-    if T.ndim > 2:
-        S /= math.factorial(T.ndim - 1)
-    return S
+def _level(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(prev, last) of monomial level k >= 2: phi_k = phi_{k-1}[prev] * x[last].
+
+    Level k holds x^gamma for the sorted k-multisets gamma in colex order, so
+    those with largest index j are the level-(k-1) monomials with largest
+    index <= j, a prefix of C(j+k-1, k-1) of them, times x_j."""
+    counts = [math.comb(j + k - 1, k - 1) for j in range(n)]
+    return np.concatenate([np.arange(c) for c in counts]), np.repeat(np.arange(n), counts)
 
 
-def _symmetric(g: DisorderTensors) -> dict[int, np.ndarray]:
-    """The instance's cache {p: S_p}, built on first use."""
-    if not g._sym:
-        g._sym.update({p: _symmetrize(T) for p, T in g.tensors.items()})
-    return g._sym
+def _pack(T: np.ndarray) -> np.ndarray:
+    """C_p (K, n), K = C(n+p-2, p-1), with grad <T, x^(x)p> = phi_{p-1}(x) @ C_p.
+
+    Row gamma, a sorted (p-1)-multiset in colex order, holds beta_i c_beta
+    in column i, where beta = gamma + e_i and c_beta sums T over the orbit
+    of beta.  Equivalently, with V_i = sum over slots s of T with slot s
+    fixed at i, C_p[gamma, i] sums V_i over the distinct arrangements of
+    gamma, which for p = 2 is T + T^T, the form built there.  Otherwise built
+    a few i at a time, so no n^p array is made besides T."""
+    p, n = T.ndim, len(T)
+    if p == 2:
+        return T + T.T
+    # each (p-1)-index in row-major order, sorted, and its colex rank
+    a = np.sort(np.indices((n,) * (p - 1)).reshape(p - 1, -1), axis=0)
+    rank = sum(np.array([math.comb(v + t, t + 1) for v in range(n)])[a[t]] for t in range(p - 1))
+    order = np.argsort(rank, kind="stable")
+    starts = np.searchsorted(rank[order], np.arange(math.comb(n + p - 2, p - 1)))
+    C = np.empty((len(starts), n))
+    rows = max(1, BLOCK_ENTRIES // n ** (p - 1))
+    for lo in range(0, n, rows):
+        i = slice(lo, lo + rows)
+        V = T[i].copy()
+        for s in range(1, p):
+            V += np.moveaxis(T[(slice(None),) * s + (i,)], s, 0)
+        C[:, i] = np.add.reduceat(V.reshape(len(V), -1)[:, order], starts, axis=1).T
+    return C
 
 
-def _contract_last(S: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Contract the last slot of each row S[a], a flattened n^k tensor, with X[a]."""
-    R, n = X.shape
-    return (S.reshape(R, -1, n) @ X[:, :, None]).reshape(R, -1)
+def _packed(g: DisorderTensors) -> tuple[list, dict[int, np.ndarray]]:
+    """The instance's cache, built on first use: the `_level` arrays of
+    levels 2..P-1 and {p: C_p} in increasing p."""
+    if g._cache is None:
+        levels = [_level(g.n, k) for k in range(2, max(g.tensors))]
+        g._cache = levels, {p: _pack(g.tensors[p]) for p in sorted(g.tensors)}
+    return g._cache
 
 
-def _block_rows(n: int, p: int) -> int:
-    """Rows per block for degree p (see `BLOCK_ENTRIES`)."""
-    return max(1, BLOCK_ENTRIES // n ** (p - 1), n // 4)
+def _block_rows(n: int, K: int) -> int:
+    """Rows per block when the top degree has K monomials (see `BLOCK_ENTRIES`)."""
+    rows = max(1, BLOCK_ENTRIES // K, n // 4)
+    return 1 << (rows.bit_length() - 1)
 
 
 def _kernel_work(g: DisorderTensors, M: int):
     """Work arrays for `_kernel` on M rows: the value (M,), the gradient
-    (M, n) and one flat scratch that holds any degree's largest block
-    intermediate (rows, n^(p-1))."""
-    n = g.n
-    size = max(min(M, _block_rows(n, p)) * n ** (p - 1) for p in g.tensors)
-    return np.empty(M), np.empty((M, n)), np.empty(size)
-
-
-def _degree(S: np.ndarray, X: np.ndarray, scratch: np.ndarray | None):
-    """<T, x^(x)p> per row and its gradient, from the symmetrized S = S_p.
-    The first intermediate (rows, n^(p-1)) goes to the front of `scratch`,
-    or to a fresh array if it is None."""
-    R, n = X.shape
-    A = None if scratch is None else scratch[: R * (S.size // n)].reshape(R, -1)
-    A = np.matmul(X, S.reshape(n, -1), out=A)  # the one pass: slots 1..p-1 are left
-    for _ in range(S.ndim - 2):
-        A = _contract_last(A, X)
-    return _contract_last(A, X)[:, 0] / S.ndim, A  # A is the gradient
+    (M, n) and a block's degree-p gradient term (rows, n)."""
+    _, packed = _packed(g)
+    rows = min(M, _block_rows(g.n, len(packed[max(packed)])))
+    return np.empty(M), np.empty((M, g.n)), np.empty((rows, g.n))
 
 
 def _kernel(g: DisorderTensors, X: np.ndarray, work=None):
-    """H (M,) and grad H (M, n) on rows X (M, n), one pass per tensor.
+    """H (M,) and grad H (M, n) on rows X (M, n), one GEMM per degree.
+
+    Per block of rows and per degree p, in increasing p, the monomials
+    phi_{p-1} are built from the level below, one monomial per row of a
+    (K, rows) array, and A = phi_{p-1}^T @ C_p is the gradient of
+    <T, x^(x)p>; x.A / p is its value.  For p = 2, phi_1^T = X and
+    C_2 = G + G^T, so that degree is `X @ (G + G^T)`.
 
     `work`, from `_kernel_work(g, M)`, receives both results, which are its
-    first two arrays, and the block intermediates, so a caller that passes
-    one workspace to every call allocates nothing of size n^(p-1) per call.
-    Without it every array is fresh.  Blocks and contractions run in a fixed
-    order, so results are reproducible bit-for-bit and do not depend on
-    `work`.  Unchecked: the public entries check their input."""
+    first two arrays, and each block's A, so a caller that passes one
+    workspace to every call allocates only the monomial levels, and for a
+    quadratic mixture nothing of size n.  Blocks hold a power-of-two count
+    of rows and run in a fixed order, so a row's bits depend only on the
+    rows of its block, not on `work`.  Unchecked: the public entries check
+    their input."""
     M, n = X.shape
-    val, gr, scratch = (np.empty(M), np.empty((M, n)), None) if work is None else work
+    levels, packed = _packed(g)
+    val, gr, scratch = _kernel_work(g, M) if work is None else work
     val.fill(0.0)
     gr.fill(0.0)
-    for p, S in _symmetric(g).items():
-        scale = g.spec.c(p) / n ** ((p - 1) / 2)
-        rows = _block_rows(n, p)
-        for lo in range(0, M, rows):
-            v, d = _degree(S, X[lo : lo + rows], scratch)
+    rows = _block_rows(n, len(packed[max(packed)]))
+    for lo in range(0, M, rows):
+        Xb = X[lo : lo + rows]
+        A = scratch[: len(Xb)]
+        phi, k = Xb.T, 1
+        for p, C in packed.items():
+            for prev, last in levels[k - 1 : p - 2]:
+                phi, k = phi.take(prev, 0) * Xb.T.take(last, 0), k + 1
+            np.matmul(phi.T, C, out=A)
+            v = np.matmul(A[:, None, :], Xb[:, :, None])[:, 0, 0] / p
+            scale = g.spec.c(p) / n ** ((p - 1) / 2)
             v *= scale
             val[lo : lo + rows] += v
-            d *= scale
-            gr[lo : lo + rows] += d
+            A *= scale
+            gr[lo : lo + rows] += A
     return val, gr
 
 
 def hamiltonian(g: DisorderTensors, x: np.ndarray):
-    """H(x) = sum_p c_p n^{-(p-1)/2} <G^(p), x^(x)p>, one pass per tensor.
+    """H(x) = sum_p c_p n^{-(p-1)/2} <G^(p), x^(x)p>, one GEMM per degree.
     A vector (n,) gives a scalar and a batch (M, n) gives (M,)."""
     X, lead = _rows(x, g.n)
     if not np.all(np.isfinite(X)):
@@ -277,7 +305,7 @@ def hamiltonian(g: DisorderTensors, x: np.ndarray):
 
 
 def grad(g: DisorderTensors, m: np.ndarray):
-    """Exact gradient of the Hamiltonian, the same one pass per tensor."""
+    """Exact gradient of the Hamiltonian, the same one GEMM per degree."""
     X, lead = _rows(m, g.n)
     if not np.all(np.isfinite(X)):
         raise ValueError("x must be finite")
@@ -285,19 +313,25 @@ def grad(g: DisorderTensors, m: np.ndarray):
 
 
 def hessian(g: DisorderTensors, m: np.ndarray, cap: int = HESSIAN_CAP) -> np.ndarray:
-    """Exact Hessian of the Hamiltonian: per degree, (p-1) scale S_p with its
-    first p-2 slots contracted with m, one reshape and matmul.  S_p is
-    symmetric up to rounding, so the sum is symmetrized once at the end."""
+    """Exact Hessian of the Hamiltonian: per degree, scale J^T C_p, where J
+    (K, n) is the Jacobian of the monomials phi_{p-1} at m.  It is built with
+    them, level by level: J_k = J_{k-1}[prev] x[last], plus phi_{k-1}[prev]
+    in column `last`, from J_1 = I.  The sum is symmetrized once at the end."""
     if g.n > cap:
         raise ValueError(f"Hessian cap exceeded: n={g.n} > {cap}")
     mv = np.asarray(m, dtype=float)
     if mv.shape != (g.n,):
         raise ValueError("hessian takes a single vector")
     n = g.n
+    levels, packed = _packed(g)
     out = np.zeros((n, n))
-    for p, S in _symmetric(g).items():
-        scale = g.spec.c(p) / n ** ((p - 1) / 2)
-        out += (p - 1) * scale * (_power(mv, p - 2) @ S.reshape(-1, n * n)).reshape(n, n)
+    phi, J, k = mv, np.eye(n), 1
+    for p, C in packed.items():
+        for prev, last in levels[k - 1 : p - 2]:
+            J = J[prev] * mv[last, None]
+            J[np.arange(len(prev)), last] += phi[prev]
+            phi, k = phi[prev] * mv[last], k + 1
+        out += g.spec.c(p) / n ** ((p - 1) / 2) * (J.T @ C)
     return 0.5 * (out + out.T)
 
 

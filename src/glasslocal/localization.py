@@ -144,9 +144,12 @@ def sample(
     stream and rounds with its own (seed, "round", replica) stream, so
     per-replica randomness is independent of the batch it runs in;
     `replica_start` offsets the stream labels so a run can be split into
-    chunks.  (Changing the batch partition can still move float results by an
-    ulp through BLAS reduction order; callers that need byte-stable files
-    must pin the partition, as the CLI does.)
+    chunks.  The kernel evaluates rows in blocks of a power-of-two count
+    (`disorder._block_rows`: 8 at n = 40 with a degree-4 term), so chunks
+    that start at multiples of the block keep every row's bits.  Any other
+    partition can move float results by an ulp through BLAS reduction
+    order; callers that need byte-stable files must pin the partition, as
+    the CLI does.
     `mean_fn(g, Y, q) -> means`, rows in and rows out, replaces the default
     estimator when given (used by the exact-mean mode at tiny n); `q_values`
     overrides the precomputed schedule.

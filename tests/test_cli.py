@@ -211,6 +211,17 @@ class TestSubcommands:
         rep = json.loads(out.read_text())
         assert {"ftap_value", "grad_norm", "relative_hessian_min"} <= set(rep)
 
+    def test_tap_spectrum_past_hessian_cap(self, tmp_path, capsys):
+        # the default spectrum needs a dense Hessian: past the cap the run
+        # fails up front with a config error that names the way out
+        out = tmp_path / "tap.json"
+        args = ("tap", "--n", "600", "--set", "tap.k_amp=3", "--out", str(out))
+        assert run_cli(*args) == 2
+        assert "--set tap.spectrum=false" in capsys.readouterr().err
+        assert not out.exists()
+        assert run_cli(*args, "--set", "tap.spectrum=false") == 0
+        assert "relative_hessian_min" not in json.loads(out.read_text())
+
     def test_exact_and_w2(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

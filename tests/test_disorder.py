@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import struct
@@ -20,7 +21,7 @@ from glasslocal import (
     write_tensors,
 )
 from glasslocal import disorder
-from glasslocal.disorder import BLOCK_ENTRIES, DisorderTensors, _logsumexp, all_spins
+from glasslocal.disorder import DisorderTensors, _logsumexp, all_spins
 from glasslocal.tap import TapParams, ngd_run
 
 REFERENCE_SPECS = [((2, 0.5),), ((3, 0.7),), ((4, 0.2),), ((2, 0.5), (3, 0.7), (4, 0.2))]
@@ -40,21 +41,37 @@ def _reference(g, X):
 
 
 def _allocating_kernel(g, X):
-    """The kernel with fresh arrays for every block and product, the
-    reference for its in-place form."""
+    """The kernel with fresh arrays for every block, level and product, and
+    each degree's monomials built from X afresh: the reference for its
+    in-place form."""
     M, n = X.shape
+    levels, packed = disorder._packed(g)
     val, gr = np.zeros(M), np.zeros((M, n))
-    for p, S in disorder._symmetric(g).items():
-        scale = g.spec.c(p) / n ** ((p - 1) / 2)
-        rows = disorder._block_rows(n, p)
-        for lo in range(0, M, rows):
-            Xb = X[lo : lo + rows]
-            A = Xb @ S.reshape(n, -1)
-            for _ in range(p - 2):
-                A = disorder._contract_last(A, Xb)
-            val[lo : lo + rows] += scale * (disorder._contract_last(A, Xb)[:, 0] / p)
+    rows = disorder._block_rows(n, len(packed[max(packed)]))
+    for lo in range(0, M, rows):
+        Xb = X[lo : lo + rows]
+        for p, C in packed.items():
+            phi = Xb.T
+            for prev, last in levels[: p - 2]:
+                phi = phi[prev] * Xb.T[last]
+            A = phi.T @ C
+            scale = g.spec.c(p) / n ** ((p - 1) / 2)
+            val[lo : lo + rows] += scale * (np.matmul(A[:, None, :], Xb[:, :, None])[:, 0, 0] / p)
             gr[lo : lo + rows] += scale * A
     return val, gr
+
+
+def _past_block(g):
+    """A row count that splits a batch into two row blocks."""
+    _, packed = disorder._packed(g)
+    return disorder._block_rows(g.n, len(packed[max(packed)])) + 2
+
+
+def _colex_monomials(n, k, x):
+    """The sorted k-multisets of range(n) in colex order, by enumeration,
+    and x^gamma for each."""
+    gammas = sorted(itertools.combinations_with_replacement(range(n), k), key=lambda c: c[::-1])
+    return gammas, np.array([np.prod(x[list(c)]) for c in gammas])
 
 
 class TestGeneration:
@@ -160,11 +177,10 @@ class TestHamiltonianCalculus:
     @pytest.mark.parametrize("coeffs", REFERENCE_SPECS, ids=["p2", "p3", "p4", "p234"])
     def test_reference_contraction(self, coeffs, n, rows):
         # the kernel against a naive per-slot einsum; the last row count
-        # splits the highest degree into two row blocks (n < 8, so a block
-        # is BLOCK_ENTRIES // n^(p-1) rows)
+        # splits the batch into two row blocks
         spec = MixtureSpec(coeffs)
         g = gen_random(spec, n, seed=8)
-        M = {"one": 1, "three": 3, "past-block": BLOCK_ENTRIES // n ** (spec.degree - 1) + 2}
+        M = {"one": 1, "three": 3, "past-block": _past_block(g)}
         X = np.random.default_rng(n).uniform(-1, 1, (M[rows], n))
         want_val, want_grad = _reference(g, X)
         for got, want in ((hamiltonian(g, X), want_val), (grad(g, X), want_grad)):
@@ -174,11 +190,10 @@ class TestHamiltonianCalculus:
     @pytest.mark.parametrize("coeffs", REFERENCE_SPECS, ids=["p2", "p3", "p4", "p234"])
     def test_workspace_matches_allocating(self, coeffs, rows):
         # one workspace, NaN-filled and then reused on a second X, gives the
-        # allocating kernel's bits; the past-block count spans several blocks
-        # of every degree (n < 8, so a block is BLOCK_ENTRIES // n^(p-1) rows)
+        # allocating kernel's bits; the past-block count spans two blocks
         n, spec = 7, MixtureSpec(coeffs)
         g = gen_random(spec, n, seed=9)
-        M = {"one": 1, "past-block": BLOCK_ENTRIES // n ** (spec.coeffs[0][0] - 1) + 2}[rows]
+        M = {"one": 1, "past-block": _past_block(g)}[rows]
         work = disorder._kernel_work(g, M)
         for a in work:
             a.fill(np.nan)
@@ -189,6 +204,57 @@ class TestHamiltonianCalculus:
             for want_val, want_grad in (disorder._kernel(g, X), _allocating_kernel(g, X)):
                 np.testing.assert_array_equal(val, want_val, strict=True)
                 np.testing.assert_array_equal(gr, want_grad, strict=True)
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    @pytest.mark.parametrize("coeffs", REFERENCE_SPECS, ids=["p2", "p3", "p4", "p234"])
+    def test_allocating_kernel_against_einsum(self, coeffs, n):
+        # the bitwise reference above is itself checked against the einsum
+        g = gen_random(MixtureSpec(coeffs), n, seed=10)
+        X = np.random.default_rng(n).uniform(-1, 1, (_past_block(g), n))
+        for got, want in zip(_allocating_kernel(g, X), _reference(g, X)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    def test_sk_kernel_is_g_plus_transpose_bitwise(self, sk):
+        # for p = 2 the kernel is the BLAS product X @ (G + G^T) and its row
+        # dot with X, exactly as evaluated before the packed cache; this pins
+        # every SK output (the sampler's, criterion 05's) bit for bit
+        n = 30
+        g = gen_random(sk, n, seed=13)
+        X = np.random.default_rng(3).uniform(-1, 1, (64, n))
+        G2, scale = g.tensors[2], sk.c(2) / np.sqrt(n)
+        A = X @ (G2 + G2.T)
+        want_val = np.matmul(A[:, None, :], X[:, :, None])[:, 0, 0] / 2 * scale
+        val, gr = disorder._kernel(g, X)
+        np.testing.assert_array_equal(gr, A * scale, strict=True)
+        np.testing.assert_array_equal(val, want_val, strict=True)
+
+    @pytest.mark.parametrize("n", [1, 3, 6, 11])
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_packed_coefficients(self, p, n):
+        # C_p against its two definitions, from a raw T: (x^gamma) @ C_p is
+        # the per-slot einsum gradient of <T, x^(x)p>, and C_p[gamma, i] =
+        # multinomial(gamma) S_p[i, gamma] with S_p the (p-1)!-normalized
+        # symmetrization; the kernel's levels give the colex monomials
+        gen = np.random.default_rng(100 * p + n)
+        T, x = gen.standard_normal((n,) * p), gen.uniform(-1, 1, n)
+        C = disorder._pack(T)
+        gammas, phi = _colex_monomials(n, p - 1, x)
+        idx = "ijkl"[:p]
+        want = sum(
+            np.einsum(idx + "".join("," + c for j, c in enumerate(idx) if j != s) + "->" + idx[s],
+                      T, *[x] * (p - 1))
+            for s in range(p)
+        )
+        np.testing.assert_allclose(phi @ C, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        S = sum(T.transpose(perm) for perm in itertools.permutations(range(p))) / math.factorial(p - 1)
+        for row, gamma in zip(C, gammas):
+            mult = math.factorial(p - 1) / math.prod(math.factorial(gamma.count(j)) for j in set(gamma))
+            np.testing.assert_allclose(row, mult * S[(slice(None),) + gamma], rtol=1e-12, atol=1e-13)
+        levels = [disorder._level(n, k) for k in range(2, p)]
+        got = x
+        for prev, last in levels:
+            got = got[prev] * x[last]
+        np.testing.assert_array_equal(got, phi)
 
     def test_covariance_identity(self, sk, gen):
         # sample covariance of (H(x1), H(x2)) over seeds vs n xi(<x1,x2>/n)
@@ -299,27 +365,27 @@ class TestPartition:
             np.testing.assert_allclose(_logsumexp(a), logsumexp(a), rtol=1e-14, atol=0)
 
 
-class TestSymmetricCache:
+class TestPackedCache:
     def test_built_once_per_instance(self, mixed, monkeypatch):
-        # one S_p per degree across a whole NGD run, the Hessian and a
+        # one C_p per degree across a whole NGD run, the Hessian and a
         # Hamiltonian call; the cache stays out of repr and ==
         built = []
 
         def counted(T):
             built.append(T.ndim)
-            return symmetrize(T)
+            return pack(T)
 
-        symmetrize = disorder._symmetrize
-        monkeypatch.setattr(disorder, "_symmetrize", counted)
+        pack = disorder._pack
+        monkeypatch.setattr(disorder, "_pack", counted)
         g = gen_random(mixed, 6, seed=21)
         params = TapParams(beta=0.4, q=0.2, gamma_reg=1.0, y=np.full(6, 0.1))
         ngd_run(g, np.zeros((2, 6)), params, eta=0.05, K=10)
         hessian(g, np.full(6, 0.3))
         hamiltonian(g, np.ones(6))
         assert sorted(built) == [2, 3, 4]
-        assert "_sym" not in repr(g)
+        assert "_cache" not in repr(g)
         fresh = DisorderTensors(n=g.n, spec=g.spec, tensors=g.tensors, seed=g.seed)
-        assert not fresh._sym and fresh == g
+        assert fresh._cache is None and fresh == g
 
     def test_derived_instances_have_their_own(self, mixed, gen):
         # evaluate the sources first: a derived instance must not see their
@@ -333,17 +399,27 @@ class TestSymmetricCache:
         derived = [interpolate(g0, g1, s) for s in (0.0, 0.3, 1.0)]
         derived.append(gen_planted(mixed, n, 2.0, x, seed=1))
         for h in derived:
-            assert not h._sym
+            assert h._cache is None
             want_val, want_grad = _reference(h, X)
             np.testing.assert_allclose(hamiltonian(h, X), want_val, rtol=1e-12)
             np.testing.assert_allclose(grad(h, X), want_grad, rtol=1e-12)
-            for p, S in h._sym.items():
-                assert S is not g0._sym[p] and S is not g1._sym[p]
+            for p, C in h._cache[1].items():
+                assert C is not g0._cache[1][p] and C is not g1._cache[1][p]
 
     def test_sk_cache_is_g_plus_transpose(self, sk):
         g = gen_random(sk, 9, seed=4)
         G2 = g.tensors[2]
-        np.testing.assert_array_equal(disorder._symmetric(g)[2], G2 + G2.T, strict=True)
+        levels, packed = disorder._packed(g)
+        assert levels == [] and list(packed) == [2]
+        np.testing.assert_array_equal(packed[2], G2 + G2.T, strict=True)
+
+    def test_cache_smaller_than_tensors(self):
+        # C_p has C(n+p-2, p-1) rows of n: 3.7 MB for p = 4 at n = 40,
+        # where the dense S_p it replaces held 20 MB
+        g = gen_random(MixtureSpec.pure(4), 40, seed=0)
+        _, packed = disorder._packed(g)
+        assert packed[4].shape == (math.comb(42, 3), 40)
+        assert packed[4].nbytes < g.tensors[4].nbytes / 5
 
 
 class TestTensorFile:

@@ -149,6 +149,21 @@ class TestSampler:
             np.atleast_2d(batch.mean_final)[2], solo.mean_final[0], atol=1e-12
         )
 
+    def test_chunks_at_block_multiples_keep_bits(self, mixed):
+        # the kernel evaluates rows in power-of-two blocks (8 rows here), so
+        # chunks that start at multiples of the block reproduce the batch's
+        # bits; at n = 24 the degree-4 term has C(26, 3) = 2600 monomials
+        n = 24
+        g = gen_random(mixed, n, seed=6)
+        _, packed = disorder._packed(g)
+        assert disorder._block_rows(n, len(packed[4])) == 8
+        p = SamplerParams(beta=0.25, delta=0.05, L=2, k_amp=5, k_ngd=10, seed=3)
+        batch = sample(g, p, n_replicas=24)
+        chunks = [sample(g, p, n_replicas=k, replica_start=lo) for lo, k in ((0, 8), (8, 16))]
+        for field in ("mean_final", "final_q", "grad_norm_last", "x_alg"):
+            got = np.concatenate([getattr(c, field) for c in chunks])
+            np.testing.assert_array_equal(getattr(batch, field), got, strict=True)
+
     def test_beta_zero_uniform_output(self, sk):
         # the localization process preserves the product measure at beta = 0
         n = 6

@@ -1,12 +1,12 @@
 """Alternating parent/change pairs of the benchmark, written to BENCH_<n>.json.
 
-    python3 tools/bench_pairs.py --parent HEAD~1 --out BENCH_11.json \\
-        --workload mixed-tensor --workload sk-large --seed 1 --seed 2
+    python3 tools/bench_pairs.py --parent HEAD~1 --out BENCH_13.json --seed 1 --seed 2
 
-The change side is HEAD.  Each side is exported from git (`git archive`) into
-its own temporary directory, so both sides run their committed files from a
-clean tree with a fresh `.bench_out/`.  For every workload and seed, each
-of PAIRS pairs runs
+runs every workload that BENCHMARK.json declares (`--workload W`, repeated,
+runs only those).  The change side is HEAD.  Each side is exported from git
+(`git archive`) into its own temporary directory, so both sides run their
+committed files from a clean tree with a fresh `.bench_out/`.  For every
+workload and seed, each of PAIRS pairs runs
 
     python3 bench/run.py --workload W --seed S --seconds T --trace 0
 
@@ -93,7 +93,8 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="git rev of the parent side")
-    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--workload", action="append",
+                        help="a workload to run (repeatable); default: all in BENCHMARK.json")
     parser.add_argument("--seed", type=int, action="append", required=True)
     parser.add_argument("--out", required=True, help="BENCH_<n>.json to write")
     args = parser.parse_args(argv)
@@ -107,7 +108,7 @@ def main(argv=None) -> int:
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
         seconds = spec["run_seconds"]
         runs, envs = [], {}
-        for workload in args.workload:
+        for workload in args.workload or [w["name"] for w in spec["workloads"]]:
             for seed in args.seed:
                 for pair in range(PAIRS):
                     for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
