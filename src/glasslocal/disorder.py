@@ -217,7 +217,8 @@ def _pack(T: np.ndarray) -> np.ndarray:
     p, n = T.ndim, len(T)
     if p == 2:
         return T + T.T
-    # each (p-1)-index in row-major order, sorted, and its colex rank
+    # each (p-1)-index in row-major order, sorted, and the colex rank of that
+    # multiset a_1 <= ... <= a_k, sum_t C(a_t + t - 1, t)
     a = np.sort(np.indices((n,) * (p - 1)).reshape(p - 1, -1), axis=0)
     rank = sum(np.array([math.comb(v + t, t + 1) for v in range(n)])[a[t]] for t in range(p - 1))
     order = np.argsort(rank, kind="stable")
@@ -242,18 +243,17 @@ def _packed(g: DisorderTensors) -> tuple[list, dict[int, np.ndarray]]:
     return g._cache
 
 
-def _block_rows(n: int, K: int) -> int:
-    """Rows per block when the top degree has K monomials (see `BLOCK_ENTRIES`)."""
-    rows = max(1, BLOCK_ENTRIES // K, n // 4)
+def _block_rows(g: DisorderTensors) -> int:
+    """Rows per block, from the top degree's monomial count (see `BLOCK_ENTRIES`)."""
+    _, packed = _packed(g)
+    rows = max(1, BLOCK_ENTRIES // len(packed[max(packed)]), g.n // 4)
     return 1 << (rows.bit_length() - 1)
 
 
 def _kernel_work(g: DisorderTensors, M: int):
     """Work arrays for `_kernel` on M rows: the value (M,), the gradient
     (M, n) and a block's degree-p gradient term (rows, n)."""
-    _, packed = _packed(g)
-    rows = min(M, _block_rows(g.n, len(packed[max(packed)])))
-    return np.empty(M), np.empty((M, g.n)), np.empty((rows, g.n))
+    return np.empty(M), np.empty((M, g.n)), np.empty((min(M, _block_rows(g)), g.n))
 
 
 def _kernel(g: DisorderTensors, X: np.ndarray, work=None):
@@ -277,7 +277,7 @@ def _kernel(g: DisorderTensors, X: np.ndarray, work=None):
     val, gr, scratch = _kernel_work(g, M) if work is None else work
     val.fill(0.0)
     gr.fill(0.0)
-    rows = _block_rows(n, len(packed[max(packed)]))
+    rows = _block_rows(g)
     for lo in range(0, M, rows):
         Xb = X[lo : lo + rows]
         A = scratch[: len(Xb)]

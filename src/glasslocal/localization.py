@@ -145,8 +145,8 @@ def sample(
     per-replica randomness is independent of the batch it runs in;
     `replica_start` offsets the stream labels so a run can be split into
     chunks.  The kernel evaluates rows in blocks of a power-of-two count
-    (`disorder._block_rows`: 8 at n = 40 with a degree-4 term), so chunks
-    that start at multiples of the block keep every row's bits.  Any other
+    (`disorder._block_rows`: 8 at n = 40 with a degree-4 term), so splitting
+    a batch at multiples of the block keeps every row's bits.  Any other
     partition can move float results by an ulp through BLAS reduction
     order; callers that need byte-stable files must pin the partition, as
     the CLI does.

@@ -47,7 +47,7 @@ def _allocating_kernel(g, X):
     M, n = X.shape
     levels, packed = disorder._packed(g)
     val, gr = np.zeros(M), np.zeros((M, n))
-    rows = disorder._block_rows(n, len(packed[max(packed)]))
+    rows = disorder._block_rows(g)
     for lo in range(0, M, rows):
         Xb = X[lo : lo + rows]
         for p, C in packed.items():
@@ -63,8 +63,7 @@ def _allocating_kernel(g, X):
 
 def _past_block(g):
     """A row count that splits a batch into two row blocks."""
-    _, packed = disorder._packed(g)
-    return disorder._block_rows(g.n, len(packed[max(packed)])) + 2
+    return disorder._block_rows(g) + 2
 
 
 def _colex_monomials(n, k, x):

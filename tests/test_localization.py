@@ -155,8 +155,7 @@ class TestSampler:
         # bits; at n = 24 the degree-4 term has C(26, 3) = 2600 monomials
         n = 24
         g = gen_random(mixed, n, seed=6)
-        _, packed = disorder._packed(g)
-        assert disorder._block_rows(n, len(packed[4])) == 8
+        assert disorder._block_rows(g) == 8
         p = SamplerParams(beta=0.25, delta=0.05, L=2, k_amp=5, k_ngd=10, seed=3)
         batch = sample(g, p, n_replicas=24)
         chunks = [sample(g, p, n_replicas=k, replica_start=lo) for lo, k in ((0, 8), (8, 16))]
