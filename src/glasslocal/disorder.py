@@ -9,8 +9,8 @@ phi_{p-1}(x) = (x^gamma) are the degree-(p-1) monomials, and one more dot
 with x gives p times the value.  The monomials are built one level at a
 time from index arrays in the same cache, and the Hessian reads C_p through
 their Jacobian.  One kernel gives value and gradient on rows, in one GEMM
-per degree; C_p has about n^p/(p-1)! entries (for p = 2, C_2 = T + T^T), so
-the cache is smaller than the tensor it is built from.  Rows go through in
+per degree.  C_p has about n^p/(p-1)! entries, so for p >= 3 the cache is
+smaller than the tensor it is built from; C_2 = T + T^T.  Rows go through in
 blocks (`BLOCK_ENTRIES`).  All entries come from Philox streams keyed by
 (seed, p), so a planted instance shares its noise part bit-for-bit with the
 random instance of the same seed.

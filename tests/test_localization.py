@@ -150,15 +150,16 @@ class TestSampler:
         )
 
     def test_chunks_at_block_multiples_keep_bits(self, mixed):
-        # the kernel evaluates rows in power-of-two blocks (8 rows here), so
-        # chunks that start at multiples of the block reproduce the batch's
-        # bits; at n = 24 the degree-4 term has C(26, 3) = 2600 monomials
-        n = 24
+        # the kernel evaluates rows in power-of-two blocks, so chunks that
+        # start at multiples of the block reproduce the batch's bits; at the
+        # mixed-tensor shape n = 40 the block is 8 rows, and with blocks of
+        # n/4 = 10 rows this partition moves bits
+        n = 40
         g = gen_random(mixed, n, seed=6)
         assert disorder._block_rows(g) == 8
         p = SamplerParams(beta=0.25, delta=0.05, L=2, k_amp=5, k_ngd=10, seed=3)
-        batch = sample(g, p, n_replicas=24)
-        chunks = [sample(g, p, n_replicas=k, replica_start=lo) for lo, k in ((0, 8), (8, 16))]
+        batch = sample(g, p, n_replicas=48)
+        chunks = [sample(g, p, n_replicas=k, replica_start=lo) for lo, k in ((0, 16), (16, 32))]
         for field in ("mean_final", "final_q", "grad_norm_last", "x_alg"):
             got = np.concatenate([getattr(c, field) for c in chunks])
             np.testing.assert_array_equal(getattr(batch, field), got, strict=True)
