@@ -414,7 +414,7 @@ class TestPackedCache:
 
     def test_cache_smaller_than_tensors(self):
         # C_p has C(n+p-2, p-1) rows of n: 3.7 MB for p = 4 at n = 40,
-        # where the dense S_p it replaces held 20 MB
+        # against the tensor's 20.5 MB
         g = gen_random(MixtureSpec.pure(4), 40, seed=0)
         _, packed = disorder._packed(g)
         assert packed[4].shape == (math.comb(42, 3), 40)
