@@ -212,11 +212,9 @@ def _pack(T: np.ndarray) -> np.ndarray:
     in column i, where beta = gamma + e_i and c_beta sums T over the orbit
     of beta.  Equivalently, with V_i = sum over slots s of T with slot s
     fixed at i, C_p[gamma, i] sums V_i over the distinct arrangements of
-    gamma, which for p = 2 is T + T^T, the form built there.  Otherwise built
-    a few i at a time, so no n^p array is made besides T."""
+    gamma; for p = 2 each gamma has one, and C_2 = T + T^T bit for bit.
+    Built a few i at a time, so no n^p array is made besides T."""
     p, n = T.ndim, len(T)
-    if p == 2:
-        return T + T.T
     # each (p-1)-index in row-major order, sorted, and the colex rank of that
     # multiset a_1 <= ... <= a_k, sum_t C(a_t + t - 1, t)
     a = np.sort(np.indices((n,) * (p - 1)).reshape(p - 1, -1), axis=0)
@@ -313,10 +311,16 @@ def grad(g: DisorderTensors, m: np.ndarray):
 
 
 def hessian(g: DisorderTensors, m: np.ndarray, cap: int = HESSIAN_CAP) -> np.ndarray:
-    """Exact Hessian of the Hamiltonian: per degree, scale J^T C_p, where J
-    (K, n) is the Jacobian of the monomials phi_{p-1} at m.  It is built with
-    them, level by level: J_k = J_{k-1}[prev] x[last], plus phi_{k-1}[prev]
-    in column `last`, from J_1 = I.  The sum is symmetrized once at the end."""
+    """Exact Hessian of the Hamiltonian: per degree, scale J_k^T C_p, where
+    J_k (K, n) is the Jacobian at m of the level-k monomials, k = p-1.  In
+    colex order the level-k rows with largest index j form one segment, the
+    first C(j+k-1, k-1) level-(k-1) monomials phi_{k-1} times m_j (see
+    `_level`), so with Z = C_p and Z_j its segment j,
+    J_k^T Z = J_{k-1}^T (sum_j m_j Z_j) + sum_j e_j (phi_{k-1}[:len(Z_j)] @ Z_j),
+    where the first sum adds each Z_j into the head of level k-1.  That runs
+    down to J_1 = I, one pass over contiguous segments per level: K n flops,
+    and no array larger than the level below C_p is made.  The sum over
+    degrees is symmetrized once at the end."""
     if g.n > cap:
         raise ValueError(f"Hessian cap exceeded: n={g.n} > {cap}")
     mv = np.asarray(m, dtype=float)
@@ -324,14 +328,21 @@ def hessian(g: DisorderTensors, m: np.ndarray, cap: int = HESSIAN_CAP) -> np.nda
         raise ValueError("hessian takes a single vector")
     n = g.n
     levels, packed = _packed(g)
+    phi = [np.ones(1), mv]
+    for prev, last in levels:
+        phi.append(phi[-1][prev] * mv[last])
     out = np.zeros((n, n))
-    phi, J, k = mv, np.eye(n), 1
     for p, C in packed.items():
-        for prev, last in levels[k - 1 : p - 2]:
-            J = J[prev] * mv[last, None]
-            J[np.arange(len(prev)), last] += phi[prev]
-            phi, k = phi[prev] * mv[last], k + 1
-        out += g.spec.c(p) / n ** ((p - 1) / 2) * (J.T @ C)
+        H, Z = np.zeros((n, n)), C
+        for k in range(p - 1, 1, -1):
+            below, lo = np.zeros((math.comb(n + k - 2, k - 1), n)), 0
+            for j in range(n):
+                rows = Z[lo : lo + math.comb(j + k - 1, k - 1)]
+                H[j] += phi[k - 1][: len(rows)] @ rows
+                below[: len(rows)] += mv[j] * rows
+                lo += len(rows)
+            Z = below
+        out += g.spec.c(p) / n ** ((p - 1) / 2) * (H + Z)
     return 0.5 * (out + out.T)
 
 

@@ -40,6 +40,19 @@ def _reference(g, X):
     return val, out
 
 
+def _reference_hessian(g, m):
+    """The Hessian at one vector by naive einsum, one call per ordered pair
+    of derivative slots."""
+    out = np.zeros((g.n, g.n))
+    for p, T in g.tensors.items():
+        scale = g.spec.c(p) / g.n ** ((p - 1) / 2)
+        idx = "ijkl"[:p]
+        for s, r in itertools.permutations(range(p), 2):
+            rest = "".join("," + c for j, c in enumerate(idx) if j not in (s, r))
+            out += scale * np.einsum(idx + rest + "->" + idx[s] + idx[r], T, *[m] * (p - 2))
+    return out
+
+
 def _allocating_kernel(g, X):
     """The kernel with fresh arrays for every block, level and product, and
     each degree's monomials built from X afresh: the reference for its
@@ -172,7 +185,7 @@ class TestHamiltonianCalculus:
         assert val == pytest.approx(sk.c(2) * g.tensors[2][0, 0] * 0.49)
 
     @pytest.mark.parametrize("rows", ["one", "three", "past-block"])
-    @pytest.mark.parametrize("n", [1, 2, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 7])
     @pytest.mark.parametrize("coeffs", REFERENCE_SPECS, ids=["p2", "p3", "p4", "p234"])
     def test_reference_contraction(self, coeffs, n, rows):
         # the kernel against a naive per-slot einsum; the last row count
@@ -204,15 +217,6 @@ class TestHamiltonianCalculus:
                 np.testing.assert_array_equal(val, want_val, strict=True)
                 np.testing.assert_array_equal(gr, want_grad, strict=True)
 
-    @pytest.mark.parametrize("n", [1, 3, 6])
-    @pytest.mark.parametrize("coeffs", REFERENCE_SPECS, ids=["p2", "p3", "p4", "p234"])
-    def test_allocating_kernel_against_einsum(self, coeffs, n):
-        # the bitwise reference above is itself checked against the einsum
-        g = gen_random(MixtureSpec(coeffs), n, seed=10)
-        X = np.random.default_rng(n).uniform(-1, 1, (_past_block(g), n))
-        for got, want in zip(_allocating_kernel(g, X), _reference(g, X)):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-
     def test_sk_kernel_is_g_plus_transpose_bitwise(self, sk):
         # for p = 2 the kernel is the BLAS product X @ (G + G^T) and its row
         # dot with X, exactly as evaluated before the packed cache; this pins
@@ -230,21 +234,13 @@ class TestHamiltonianCalculus:
     @pytest.mark.parametrize("n", [1, 3, 6, 11])
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_packed_coefficients(self, p, n):
-        # C_p against its two definitions, from a raw T: (x^gamma) @ C_p is
-        # the per-slot einsum gradient of <T, x^(x)p>, and C_p[gamma, i] =
+        # C_p from a raw T against its definition, C_p[gamma, i] =
         # multinomial(gamma) S_p[i, gamma] with S_p the (p-1)!-normalized
         # symmetrization; the kernel's levels give the colex monomials
         gen = np.random.default_rng(100 * p + n)
         T, x = gen.standard_normal((n,) * p), gen.uniform(-1, 1, n)
         C = disorder._pack(T)
         gammas, phi = _colex_monomials(n, p - 1, x)
-        idx = "ijkl"[:p]
-        want = sum(
-            np.einsum(idx + "".join("," + c for j, c in enumerate(idx) if j != s) + "->" + idx[s],
-                      T, *[x] * (p - 1))
-            for s in range(p)
-        )
-        np.testing.assert_allclose(phi @ C, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
         S = sum(T.transpose(perm) for perm in itertools.permutations(range(p))) / math.factorial(p - 1)
         for row, gamma in zip(C, gammas):
             mult = math.factorial(p - 1) / math.prod(math.factorial(gamma.count(j)) for j in set(gamma))
@@ -301,6 +297,23 @@ class TestHamiltonianCalculus:
             [(grad(g, m + eps * e) - grad(g, m - eps * e)) / (2 * eps) for e in np.eye(8)]
         )
         np.testing.assert_allclose(H, fd, rtol=1e-5, atol=1e-7)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 20])
+    @pytest.mark.parametrize("coeffs", REFERENCE_SPECS, ids=["p2", "p3", "p4", "p234"])
+    def test_hessian_reference(self, coeffs, n):
+        g = gen_random(MixtureSpec(coeffs), n, seed=14)
+        m = np.random.default_rng(n).uniform(-1, 1, n)
+        want = _reference_hessian(g, m)
+        np.testing.assert_allclose(hessian(g, m), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    def test_sk_hessian_is_g_plus_transpose_bitwise(self, sk):
+        # for p = 2 the Hessian is scale C_2 = scale (G + G^T), symmetrized
+        # as before the packed cache, so SK spectra keep their bits
+        n = 30
+        g = gen_random(sk, n, seed=15)
+        A = sk.c(2) / np.sqrt(n) * (g.tensors[2] + g.tensors[2].T)
+        m = np.random.default_rng(4).uniform(-1, 1, n)
+        np.testing.assert_array_equal(hessian(g, m), 0.5 * (A + A.T), strict=True)
 
     def test_pure_cubic_hessian_zero_at_origin(self):
         g = gen_random(MixtureSpec.pure(3), 5, seed=2)
