@@ -20,7 +20,6 @@ from .state_evolution import (
 )
 from .disorder import (
     DisorderTensors,
-    GibbsQuery,
     gen_planted,
     gen_random,
     grad,

@@ -21,7 +21,7 @@ import numpy as np
 from .disorder import DisorderTensors, _rows, grad
 from .mixture import onsager
 
-__all__ = ["AmpState", "amp_run", "onsager", "amp_lipschitz_probe"]
+__all__ = ["AmpState", "amp_run", "amp_lipschitz_probe"]
 
 logger = logging.getLogger(__name__)
 
@@ -60,9 +60,7 @@ def amp_run(
         raise ValueError("K must be >= 1")
     if not np.isfinite(beta):
         raise ValueError("beta must be finite")
-    Y, lead = _rows(y, g.n)
-    if not np.all(np.isfinite(Y)):
-        raise ValueError("y must be finite")
+    Y, lead = _rows(y, g.n, "y")
     shape = lead + (g.n,)
     m_prev = np.zeros_like(Y)  # m^{-1}
     m = np.zeros_like(Y)  # m^0 = tanh(z^0) = 0

@@ -16,7 +16,6 @@ from . import rng
 from .disorder import (
     ENUMERATION_CAP,
     DisorderTensors,
-    GibbsQuery,
     _logsumexp,
     _packed,
     all_spins,
@@ -71,17 +70,14 @@ class SampleBatch:
         return self.spins.shape[0]
 
 
-def exact_gibbs(g: DisorderTensors, beta, y: np.ndarray | None = None) -> ExactGibbs:
-    """Enumerate mu(x) ~ exp(beta H(x) + <y, x>) exactly (n <= cap).
-
-    `beta` may also be a GibbsQuery carrying (beta, y) together.
-    """
-    if isinstance(beta, GibbsQuery):
-        beta, y = beta.beta, beta.y
+def exact_gibbs(g: DisorderTensors, beta: float, y: np.ndarray | None = None) -> ExactGibbs:
+    """Enumerate mu(x) ~ exp(beta H(x) + <y, x>) exactly (n <= cap); no y is y = 0."""
     n = g.n
     if n > ENUMERATION_CAP:
         raise ValueError(f"enumeration cap exceeded: n={n} > {ENUMERATION_CAP}")
     y = np.zeros(n) if y is None else np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("tilt y must be finite componentwise")
     X = all_spins(n)
     logits = beta * hamiltonian_table(g) + X @ y
     log_z = _logsumexp(logits)
@@ -128,7 +124,7 @@ def glauber_run(
     maintained incrementally through the local field; higher degrees pay one
     two-row Hamiltonian call (both flips) per update.  States are recorded
     after `burn_in` sweeps, every `thin` sweeps, so `burn_in` must be below
-    `sweeps`.
+    `sweeps` and `thin` at least 1.
     """
     x = np.asarray(x0, dtype=float).copy()
     n = g.n
@@ -136,6 +132,8 @@ def glauber_run(
         raise ValueError("x0 must be a +-1 vector of length n")
     if burn_in >= sweeps:
         raise ValueError(f"burn_in = {burn_in} must be below sweeps = {sweeps}")
+    if thin < 1:
+        raise ValueError(f"thin = {thin} must be >= 1")
     gen = rng.stream(seed, "glauber")
     quadratic_only = g.active_degrees() == [2]
     if quadratic_only:

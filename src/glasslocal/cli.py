@@ -115,6 +115,13 @@ def _planted_x(cfg: dict) -> np.ndarray:
     return np.where(u < 0.5, -1.0, 1.0)
 
 
+def _tilt(cfg: dict, n: int, t: float, x: np.ndarray | None) -> np.ndarray:
+    """The tilt y = t x + sqrt(t) z of `amp` and `tap`, z from the
+    (seed, "amp-y") stream; no planted x counts as x = 0, and t = 0 gives 0."""
+    z = rng.stream(cfg["seed"], "amp-y").standard_normal(n)
+    return t * (x if x is not None else 0.0) + math.sqrt(t) * z
+
+
 def _sampler_params(cfg: dict) -> SamplerParams:
     """Every `sampler` key except `replicas` is a SamplerParams field."""
     sp = {k: v for k, v in cfg["sampler"].items() if k != "replicas"}
@@ -156,14 +163,12 @@ def _cmd_amp(cfg: dict) -> None:
         msg = "a tensor file does not store the planted x, so the MSE is undefined"
         raise ConfigError(f"config field 'amp/planted': {msg}; set amp.planted=false")
     if cfg["amp"]["planted"]:
-        x = _planted_x(cfg)
-        g = gen_planted(MixtureSpec.from_dict(cfg["mixture"]), cfg["n"], beta, x, cfg["seed"])
+        spec = MixtureSpec.from_dict(cfg["mixture"])
+        g = gen_planted(spec, cfg["n"], beta, _planted_x(cfg), cfg["seed"])
     else:
         g = _load_tensors(cfg)
-        x = g.meta.get("x") if g.kind == "planted" else None
-    z = rng.stream(cfg["seed"], "amp-y").standard_normal(g.n)
-    y = t * (x if x is not None else 0.0) + math.sqrt(t) * z
-    traj = amp_run(g, y, beta, K + 1, keep_history=True)
+    x = g.meta.get("x")  # only a planted instance has one
+    traj = amp_run(g, _tilt(cfg, g.n, t, x), beta, K + 1, keep_history=True)
     prof = se_recursion(g.spec, beta, t, K=K + 2)
     rows = []
     for st, st_next in zip(traj[:-1], traj[1:]):
@@ -183,12 +188,7 @@ def _cmd_tap(cfg: dict) -> None:
             f"config field 'tap/spectrum': the spectrum needs a dense Hessian, capped at "
             f"n = {HESSIAN_CAP}, and n = {g.n}; pass --set tap.spectrum=false"
         )
-    x = g.meta.get("x") if g.kind == "planted" else None
-    if t > 0:
-        z = rng.stream(cfg["seed"], "amp-y").standard_normal(g.n)
-        y = t * (x if x is not None else 0.0) + math.sqrt(t) * z
-    else:
-        y = np.zeros(g.n)
+    y = _tilt(cfg, g.n, t, g.meta.get("x"))
     u = np.zeros(g.n)
     if cfg["tap"]["m_source"] == "amp":  # AMP's z is the natural parameter
         u = amp_run(g, y, beta, cfg["tap"]["k_amp"], keep_history=False)[-1].z
@@ -215,14 +215,12 @@ def _cmd_sample(cfg: dict) -> None:
     g = _load_tensors(cfg)
     params = _sampler_params(cfg)
     n_rep = cfg["sampler"]["replicas"]
-    sched = q_schedule(g.spec, params.beta, params.delta, params.L)
-    if not np.all(sched.converged):
-        raise RuntimeError("q schedule did not converge")
+    q_values = q_schedule(g.spec, params.beta, params.delta, params.L)
     rows = []
     traj_parts = []
     for lo in range(0, n_rep, REPLICA_CHUNK):
         k = min(REPLICA_CHUNK, n_rep - lo)
-        res = sample(g, params, n_replicas=k, q_values=sched.values, replica_start=lo)
+        res = sample(g, params, n_replicas=k, q_values=q_values, replica_start=lo)
         for i, x in enumerate(res.x_alg):
             row = [lo + i, cfg["seed"], res.final_q[i], res.grad_norm_last[i], _spins_to_hex(x)]
             rows.append(row)

@@ -30,7 +30,6 @@ from .mixture import MixtureSpec
 
 __all__ = [
     "DisorderTensors",
-    "GibbsQuery",
     "gen_random",
     "gen_planted",
     "interpolate",
@@ -81,24 +80,6 @@ class DisorderTensors:
         return sorted(self.tensors)
 
 
-@dataclass
-class GibbsQuery:
-    """Parameters of one tilted measure: inverse temperature and tilt field.
-
-    `t` is optional metadata recording the localization time the tilt came
-    from; it does not enter the measure.
-    """
-
-    beta: float
-    y: np.ndarray
-    t: float | None = None
-
-    def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=float)
-        if not np.all(np.isfinite(self.y)):
-            raise ValueError("tilt y must be finite componentwise")
-
-
 def _check_budget(spec: MixtureSpec, n: int, budget: int):
     if spec.scalar_only:
         raise ValueError(
@@ -146,6 +127,8 @@ def gen_planted(
     x = np.asarray(x, dtype=float)
     if x.shape != (n,) or not np.all(np.abs(x) == 1.0):
         raise ValueError("planted x must be a +-1 vector of length n")
+    if not math.isfinite(beta):
+        raise ValueError(f"planted beta = {beta} must be finite")
     g = gen_random(spec, n, seed, budget)
     for p in g.active_degrees():
         scale = beta * g.spec.c(p) / n ** ((p - 1) / 2)
@@ -159,20 +142,17 @@ def gen_planted(
 def interpolate(g0: DisorderTensors, g1: DisorderTensors, s: float) -> DisorderTensors:
     """Correlated perturbation G_s = sqrt(1-s^2) G_0 + s G_1, s in [0, 1].
 
-    The endpoints return exact copies so that coupled experiments see
-    bit-identical inputs at s = 0 and s = 1.
+    At s = 0 and s = 1 the weights are exactly (1.0, 0.0) and (0.0, 1.0),
+    and 1.0 a + 0.0 b = a for finite entries, so the endpoints are fresh
+    arrays equal to G_0 and G_1 (bit for bit, but for the sign of a zero):
+    coupled experiments see the same inputs there.
     """
     if g0.spec != g1.spec or g0.n != g1.n:
         raise ValueError("interpolation endpoints must share (spec, n)")
     if not 0.0 <= s <= 1.0:
         raise ValueError("s must lie in [0, 1]")
-    if s == 0.0:
-        tensors = {p: t.copy() for p, t in g0.tensors.items()}
-    elif s == 1.0:
-        tensors = {p: t.copy() for p, t in g1.tensors.items()}
-    else:
-        c0 = math.sqrt(1.0 - s * s)
-        tensors = {p: c0 * g0.tensors[p] + s * g1.tensors[p] for p in g0.tensors}
+    c0 = math.sqrt(1.0 - s * s)
+    tensors = {p: c0 * g0.tensors[p] + s * g1.tensors[p] for p in g0.tensors}
     return DisorderTensors(
         n=g0.n,
         spec=g0.spec,
@@ -183,8 +163,9 @@ def interpolate(g0: DisorderTensors, g1: DisorderTensors, s: float) -> DisorderT
     )
 
 
-def _rows(x, n: int):
-    """Rows (M, n) of an array of n-vectors (..., n), and its leading shape.
+def _rows(x, n: int, name: str):
+    """Rows (M, n) of an array of finite n-vectors (..., n) called `name`,
+    and its leading shape.
 
     The only place a vector becomes a one-row batch: kernels compute on rows
     and reshape their result with the leading shape once, on the way out.
@@ -192,6 +173,8 @@ def _rows(x, n: int):
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] != n:
         raise ValueError(f"dimension mismatch: expected vectors of length {n}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must be finite")
     return x.reshape(-1, n), x.shape[:-1]
 
 
@@ -296,17 +279,13 @@ def _kernel(g: DisorderTensors, X: np.ndarray, work=None):
 def hamiltonian(g: DisorderTensors, x: np.ndarray):
     """H(x) = sum_p c_p n^{-(p-1)/2} <G^(p), x^(x)p>, one GEMM per degree.
     A vector (n,) gives a scalar and a batch (M, n) gives (M,)."""
-    X, lead = _rows(x, g.n)
-    if not np.all(np.isfinite(X)):
-        raise ValueError("x must be finite")
+    X, lead = _rows(x, g.n, "x")
     return _kernel(g, X)[0].reshape(lead)[()]
 
 
 def grad(g: DisorderTensors, m: np.ndarray):
     """Exact gradient of the Hamiltonian, the same one GEMM per degree."""
-    X, lead = _rows(m, g.n)
-    if not np.all(np.isfinite(X)):
-        raise ValueError("x must be finite")
+    X, lead = _rows(m, g.n, "x")
     return _kernel(g, X)[1].reshape(lead + (g.n,))
 
 
@@ -412,7 +391,8 @@ def write_tensors(path, g: DisorderTensors) -> None:
 
 def read_tensors(path) -> DisorderTensors:
     """Read a tensor file.  The header, the entry budget and the exact file
-    length are checked before any tensor body is read."""
+    length are checked before any tensor body is read; a non-finite entry
+    is rejected, naming its degree."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         magic = f.read(5)
@@ -434,6 +414,9 @@ def read_tensors(path) -> DisorderTensors:
             problem = "body truncated" if size < expected else "has trailing bytes"
             raise ValueError(f"tensor file {problem}: {size} bytes, expected {expected}")
         tensors = {p: np.fromfile(f, "<f8", n**p).reshape((n,) * p) for p, _ in spec.coeffs}
+    for p, T in tensors.items():
+        if not np.isfinite(T).all():
+            raise ValueError(f"tensor file body has a non-finite entry in degree p = {p}")
     return DisorderTensors(
         n=n, spec=spec, tensors=tensors, seed=seed, kind=_TAG_KINDS.get(tag, "other")
     )

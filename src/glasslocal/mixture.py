@@ -18,7 +18,7 @@ __all__ = ["MixtureSpec", "ons", "ons_prime", "onsager", "binary_entropy", "bina
 #: Largest degree for which dense tensors are supported.
 TENSOR_DEGREE_CAP = 4
 
-# Falling factorials p!/(p-k)! for p<=8, k<=4, indexed [p][k].
+#: Highest derivative order of xi that `MixtureSpec.xi` evaluates.
 _MAX_ORDER = 4
 
 

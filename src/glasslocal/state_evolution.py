@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -22,7 +22,6 @@ from .scalar import DEFAULT_RULE, mutual_info_scalar, phi, phi_prime, psi
 
 __all__ = [
     "SEProfile",
-    "QSchedule",
     "ThresholdReport",
     "se_recursion",
     "se_map",
@@ -74,14 +73,6 @@ class SEProfile:
 
 
 @dataclass
-class QSchedule:
-    """Fixed points q_*(beta, ell * delta) for ell = 0..L."""
-
-    values: np.ndarray
-    converged: np.ndarray
-
-
-@dataclass
 class ThresholdReport:
     """All analytic thresholds for one mixture, with solver metadata."""
 
@@ -94,15 +85,7 @@ class ThresholdReport:
     method: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "beta3": self.beta3,
-            "beta_c_rs": self.beta_c_rs,
-            "beta_dyn": self.beta_dyn,
-            "mixture": self.mixture,
-            "method": self.method,
-        }
+        return asdict(self)
 
 
 def se_map(spec: MixtureSpec, beta: float, t: float, q):
@@ -370,19 +353,21 @@ def _psi_at(spec: MixtureSpec, beta: float, t: float, q: float) -> float:
     return float(ons(spec, beta, q) + mutual_info_scalar(beta * beta * spec.xi(q, order=1) + t))
 
 
-def q_schedule(spec: MixtureSpec, beta: float, delta: float, L: int) -> QSchedule:
-    """Table of fixed points q_*(beta, ell*delta) for ell = 0..L."""
+def q_schedule(spec: MixtureSpec, beta: float, delta: float, L: int) -> np.ndarray:
+    """Fixed points q_*(beta, ell*delta) for ell = 0..L, shape (L+1,); the
+    sampler needs each, so the first that does not converge raises, naming ell."""
     if not 0.0 < delta < math.inf:
         raise ValueError("delta must be positive and finite")
     if L < 1:
         raise ValueError("L must be >= 1")
     values = np.zeros(L + 1)
-    converged = np.zeros(L + 1, dtype=bool)
     for ell in range(L + 1):
         prof = se_recursion(spec, beta, ell * delta, K=1)
+        if not prof.converged:
+            msg = f"ell={ell} (t={ell * delta:g}) did not converge in {FIXED_POINT_CAP} iterations"
+            raise RuntimeError(f"q schedule: the fixed point at {msg}")
         values[ell] = prof.q_star
-        converged[ell] = prof.converged
-    return QSchedule(values=values, converged=converged)
+    return values
 
 
 def thresholds(spec: MixtureSpec, c0: float = 0.25, dyn_ceiling: float = 3.0) -> ThresholdReport:

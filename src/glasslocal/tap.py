@@ -22,13 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import DisorderTensors, _kernel, _kernel_work, _rows, hessian
-from .mixture import _entropy_terms, ons, ons_prime, onsager
+from .mixture import _entropy_terms, ons, onsager
 
 __all__ = [
     "TapParams",
     "TapIterate",
-    "ons",
-    "ons_prime",
     "ftap_value",
     "ftap_grad",
     "ftap_hessian",
@@ -104,7 +102,8 @@ def _ftap(g: DisorderTensors, U, M, params: TapParams, ons_q, b, work=None):
     dval, (h, kscratch, t, a, log_a) = _ftap_work(g, len(M)) if work is None else work
     _kernel(g, M, (h, dval, kscratch))  # dval holds grad H until the terms below
     Q = np.sum(np.multiply(M, M, out=t), axis=-1) / n
-    # the tilt supports y as a shared (n,) vector or per-row (M, n)
+    # a per-row (rows, n) tilt, as the sampler passes, or a shared (n,) one;
+    # the shared one keeps its BLAS dot, whose bits `glasslocal tap` reports
     y = params.y
     tilt = np.sum(np.multiply(M, y, out=t), axis=-1) if y.ndim > 1 else M @ y
     val = (
@@ -125,14 +124,14 @@ def _ftap(g: DisorderTensors, U, M, params: TapParams, ons_q, b, work=None):
 
 def ftap_value(g: DisorderTensors, m: np.ndarray, params: TapParams):
     """Value of the modified free energy at interior m (vector or batch)."""
-    M, lead = _rows(m, g.n)
+    M, lead = _rows(m, g.n, "m")
     _check_interior(M)
     return _ftap(g, np.arctanh(M), M, params, *_onsager_terms(g, params))[0].reshape(lead)[()]
 
 
 def ftap_grad(g: DisorderTensors, m: np.ndarray, params: TapParams):
     """Gradient: -beta grad H - y + atanh(m) + b(q) m + (Gamma beta / 2)(Q(m) - q) m."""
-    M, lead = _rows(m, g.n)
+    M, lead = _rows(m, g.n, "m")
     _check_interior(M)
     return _ftap(g, np.arctanh(M), M, params, *_onsager_terms(g, params))[1].reshape(lead + (g.n,))
 
@@ -213,9 +212,7 @@ def ngd_run(
         raise ValueError("eta must be positive and finite")
     if K < 1:
         raise ValueError("K must be >= 1")
-    U, lead = _rows(u0, g.n)
-    if not np.all(np.isfinite(U)):
-        raise ValueError("u0 must be finite")
+    U, lead = _rows(u0, g.n, "u0")
     terms = _onsager_terms(g, params)
     U, M = U.copy(), np.tanh(U)  # a copy: u0 is never written
     gvec, scratch = _ftap_work(g, len(U))

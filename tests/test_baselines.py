@@ -117,6 +117,12 @@ class TestGlauber:
         with pytest.raises(ValueError, match="burn_in"):
             glauber_run(g, 0.4, np.ones(5), sweeps=30, seed=9, burn_in=burn_in)
 
+    @pytest.mark.parametrize("thin", [0, -1])
+    def test_thin_at_least_one(self, sk, thin):
+        g = gen_random(sk, 5, seed=7)
+        with pytest.raises(ValueError, match="thin"):
+            glauber_run(g, 0.4, np.ones(5), sweeps=30, seed=9, thin=thin)
+
     def test_pair_correlations_match_enumeration(self, sk):
         # n = 8 chain vs exact second moments, 3 s.e. of the chain estimate
         n, beta = 8, 0.3
@@ -244,22 +250,12 @@ class TestAssign:
         self._check(_spins(gen, N, n), _spins(gen, N, n))
 
 
-class TestGibbsQuery:
-    def test_query_form_matches_explicit(self, sk, gen):
-        from glasslocal import GibbsQuery
-
-        g = gen_random(sk, 6, seed=20)
-        y = gen.standard_normal(6)
-        d1 = exact_gibbs(g, 0.4, y)
-        d2 = exact_gibbs(g, GibbsQuery(beta=0.4, y=y, t=1.0))
-        np.testing.assert_array_equal(d1.mean, d2.mean)
-        assert d1.log_z == d2.log_z
-
-    def test_rejects_nonfinite_tilt(self):
-        from glasslocal import GibbsQuery
-
-        with pytest.raises(ValueError):
-            GibbsQuery(beta=0.1, y=np.array([np.inf, 0.0]))
+class TestExactGibbsTilt:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_tilt(self, sk, bad):
+        g = gen_random(sk, 4, seed=20)
+        with pytest.raises(ValueError, match="tilt y must be finite"):
+            exact_gibbs(g, 0.3, np.array([bad, 0.0, 0.0, 0.0]))
 
 
 class TestBatchBits:

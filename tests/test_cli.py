@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 import glasslocal
 from glasslocal.cli import _hex_to_spins, _spins_to_hex, main
 from glasslocal.config import CONFIG_SCHEMA, resolve_config, ConfigError
-from glasslocal.disorder import read_tensors
+from glasslocal.disorder import gen_random, read_tensors, write_tensors
+from glasslocal.mixture import MixtureSpec
 
 
 def run_cli(*args):
@@ -135,6 +136,25 @@ class TestSubcommands:
         path.write_bytes(path.read_bytes()[:12])
         assert run_cli("sample", "--tensor-file", str(path)) == 1
         assert "header truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["exact", "sample"])
+    def test_non_finite_tensor_entry_reported(self, tmp_path, capsys, kind):
+        g = gen_random(MixtureSpec.sk(), 8, seed=0)
+        g.tensors[2][3, 5] = np.nan
+        path = tmp_path / "nan.gltn"
+        write_tensors(path, g)
+        out = tmp_path / "out.csv"
+        assert run_cli(kind, "--tensor-file", str(path), "--n", "8", "--out", str(out)) == 1
+        assert "non-finite entry in degree p = 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unconverged_q_schedule_reported(self, capsys, monkeypatch):
+        from glasslocal import state_evolution
+
+        monkeypatch.setattr(state_evolution, "FIXED_POINT_CAP", 2)
+        assert run_cli("sample", "--n", "4", "--set", "sampler.L=4") == 1
+        err = capsys.readouterr().err
+        assert "error [RuntimeError]: q schedule" in err and "ell=1" in err
 
     @pytest.mark.parametrize(
         "flags", [["--beta", "nan"], ["--mixture", '{"2": NaN}'], ["--mixture", '{"2": Infinity}']]

@@ -142,6 +142,11 @@ class TestPlanted:
         with pytest.raises(ValueError):
             gen_planted(sk, 3, 0.5, np.array([1.0, 0.5, -1.0]), seed=0)
 
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_beta(self, sk, beta):
+        with pytest.raises(ValueError, match="planted beta"):
+            gen_planted(sk, 3, beta, np.ones(3), seed=0)
+
 
 class TestInterpolate:
     def test_endpoints_exact(self, mixed):
@@ -491,6 +496,16 @@ class TestTensorFile:
         path = tmp_path / "nan.gltn"
         path.write_bytes(b"GLTN1" + struct.pack("<IIdQB", 2, 2, math.nan, 0, 0) + bytes(8 * 4))
         with pytest.raises(ValueError, match="finite"):
+            read_tensors(path)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_non_finite_entry_rejected(self, mixed, tmp_path, p, bad):
+        g = gen_random(mixed, 3, seed=4)
+        g.tensors[p][(-1,) * p] = bad
+        path = tmp_path / "bad.gltn"
+        write_tensors(path, g)
+        with pytest.raises(ValueError, match=f"non-finite entry in degree p = {p}"):
             read_tensors(path)
 
 

@@ -13,3 +13,11 @@ def test_all_resolves(name):
     mod = importlib.import_module(name)
     assert mod.__all__
     assert [attr for attr in mod.__all__ if not hasattr(mod, attr)] == []
+
+
+def test_each_name_has_one_home():
+    homes = {}
+    for name in MODULES:
+        for attr in importlib.import_module(name).__all__:
+            homes.setdefault(attr, []).append(name)
+    assert {attr: mods for attr, mods in homes.items() if len(mods) > 1} == {}

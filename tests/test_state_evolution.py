@@ -17,6 +17,7 @@ from glasslocal import (
     se_recursion,
     thresholds,
 )
+from glasslocal import state_evolution
 from glasslocal.state_evolution import dyn_h, fixed_points, se_map
 
 # q_*(0.5, t) for t = 0, 0.5, 1.0, 1.5, 2.0 on the quadratic model: pinned by
@@ -227,14 +228,20 @@ class TestPsiStarAndSchedule:
             psi_star(sk, 1.5, 0.5)
 
     def test_schedule_pinned(self, sk):
-        sched = q_schedule(sk, 0.5, 0.5, 4)
-        np.testing.assert_allclose(sched.values, SK_HALF_SCHEDULE, atol=1e-6)
-        assert np.all(sched.converged)
+        np.testing.assert_allclose(q_schedule(sk, 0.5, 0.5, 4), SK_HALF_SCHEDULE, atol=1e-6)
 
     def test_schedule_starts_at_zero_and_monotone(self, sk):
         sched = q_schedule(sk, 0.5, 0.1, 30)
-        assert sched.values[0] == 0.0
-        assert np.all(np.diff(sched.values) >= 0)
+        assert sched.shape == (31,)
+        assert sched[0] == 0.0
+        assert np.all(np.diff(sched) >= 0)
+
+    def test_schedule_non_convergence_names_ell(self, sk, monkeypatch):
+        # q_*(t = 0) = 0 is a fixed point from the start; at ell = 1 the
+        # iteration needs more steps than a cap of 2 allows
+        monkeypatch.setattr(state_evolution, "FIXED_POINT_CAP", 2)
+        with pytest.raises(RuntimeError, match=r"ell=1 \(t=0\.1\) did not converge"):
+            q_schedule(sk, 0.5, 0.1, 4)
 
     def test_schedule_validation(self, sk):
         with pytest.raises(ValueError):
