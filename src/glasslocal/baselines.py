@@ -14,7 +14,6 @@ import numpy as np
 
 from . import rng
 from .disorder import (
-    ENUMERATION_CAP,
     DisorderTensors,
     _logsumexp,
     _packed,
@@ -73,8 +72,8 @@ class SampleBatch:
 def exact_gibbs(g: DisorderTensors, beta: float, y: np.ndarray | None = None) -> ExactGibbs:
     """Enumerate mu(x) ~ exp(beta H(x) + <y, x>) exactly (n <= cap); no y is y = 0."""
     n = g.n
-    if n > ENUMERATION_CAP:
-        raise ValueError(f"enumeration cap exceeded: n={n} > {ENUMERATION_CAP}")
+    if not np.isfinite(beta):
+        raise ValueError("beta must be finite")
     y = np.zeros(n) if y is None else np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
         raise ValueError("tilt y must be finite componentwise")
@@ -90,6 +89,10 @@ def exact_gibbs(g: DisorderTensors, beta: float, y: np.ndarray | None = None) ->
 
 def exact_mean_batch(g: DisorderTensors, beta: float, Y: np.ndarray) -> np.ndarray:
     """Exact tilted means m(G, y) for a batch of tilts Y (rows)."""
+    if not np.isfinite(beta):
+        raise ValueError("beta must be finite")
+    if not np.all(np.isfinite(Y)):
+        raise ValueError("tilts Y must be finite")
     X = all_spins(g.n)
     logits = beta * hamiltonian_table(g)[None, :] + Y @ X.T
     logits -= logits.max(axis=1, keepdims=True)
@@ -134,6 +137,8 @@ def glauber_run(
         raise ValueError(f"burn_in = {burn_in} must be below sweeps = {sweeps}")
     if thin < 1:
         raise ValueError(f"thin = {thin} must be >= 1")
+    if not np.isfinite(beta):
+        raise ValueError("beta must be finite")
     gen = rng.stream(seed, "glauber")
     quadratic_only = g.active_degrees() == [2]
     if quadratic_only:

@@ -1,7 +1,7 @@
 """Command-line entry point: experiment orchestration and structured output.
 
 Every subcommand reads an optional JSON config (--config), applies flag
-overrides, validates against the published schema, materializes defaults,
+overrides, checks it against the published schema, materializes defaults,
 runs, and writes CSV/JSON results.  When a result goes to a file, the fully
 resolved config is echoed to `<out>.config.json` so the run can be
 reproduced byte-for-byte.  Floats are written with 17 significant digits.
@@ -44,7 +44,6 @@ from .localization import SamplerParams, sample
 from .mixture import MixtureSpec
 from .state_evolution import _psi_at, mse_prediction, q_schedule, se_recursion, thresholds
 from .tap import TapParams, _ftap, _onsager_terms, relative_hessian_extremes
-from .validate import run_validation
 
 __all__ = ["main"]
 
@@ -306,12 +305,6 @@ def _cmd_stability(cfg: dict) -> None:
     )
 
 
-def _cmd_validate(cfg: dict) -> None:
-    failures = run_validation(verbose=True)
-    if failures:
-        raise SystemExit(1)
-
-
 _HANDLERS = {
     "gen-disorder": _cmd_gen_disorder,
     "thresholds": _cmd_thresholds,
@@ -324,7 +317,6 @@ _HANDLERS = {
     "w2": _cmd_w2,
     "chaos": _cmd_chaos,
     "stability": _cmd_stability,
-    "validate": _cmd_validate,
 }
 
 # flat flags that overwrite top-level config keys

@@ -18,7 +18,7 @@ __all__ = ["CONFIG_SCHEMA", "resolve_config"]
 
 KINDS = [
     "gen-disorder", "thresholds", "se", "amp", "tap", "sample",
-    "exact", "glauber", "w2", "chaos", "stability", "validate",
+    "exact", "glauber", "w2", "chaos", "stability",
 ]
 
 _UNIT = {"type": "number", "minimum": 0, "maximum": 1}

@@ -80,22 +80,22 @@ class DisorderTensors:
         return sorted(self.tensors)
 
 
-def _check_budget(spec: MixtureSpec, n: int, budget: int):
+def _check_budget(spec: MixtureSpec, n: int):
     if spec.scalar_only:
         raise ValueError(
             f"mixture degree {spec.degree} exceeds the dense-tensor cap; "
             "scalar-only mixtures cannot generate tensors"
         )
     total = sum(n**p for p, _ in spec.coeffs)
-    if total > budget:
-        raise ValueError(f"tensor budget exceeded: {total} entries > {budget}")
+    if total > ENTRY_BUDGET:
+        raise ValueError(f"tensor budget exceeded: {total} entries > {ENTRY_BUDGET}")
 
 
-def gen_random(spec: MixtureSpec, n: int, seed: int, budget: int = ENTRY_BUDGET) -> DisorderTensors:
+def gen_random(spec: MixtureSpec, n: int, seed: int) -> DisorderTensors:
     """Fresh i.i.d. N(0,1) tensors from the (seed, p)-keyed streams."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_budget(spec, n, budget)
+    _check_budget(spec, n)
     tensors = {}
     for p, _ in spec.coeffs:
         g = rng.stream(seed, "disorder", p)
@@ -117,7 +117,6 @@ def gen_planted(
     beta: float,
     x: np.ndarray,
     seed: int,
-    budget: int = ENTRY_BUDGET,
 ) -> DisorderTensors:
     """Rank-one-spiked tensors: G^(p) = beta c_p n^{-(p-1)/2} x^{(x)p} + W^(p).
 
@@ -129,7 +128,7 @@ def gen_planted(
         raise ValueError("planted x must be a +-1 vector of length n")
     if not math.isfinite(beta):
         raise ValueError(f"planted beta = {beta} must be finite")
-    g = gen_random(spec, n, seed, budget)
+    g = gen_random(spec, n, seed)
     for p in g.active_degrees():
         scale = beta * g.spec.c(p) / n ** ((p - 1) / 2)
         if scale != 0.0:
@@ -289,7 +288,7 @@ def grad(g: DisorderTensors, m: np.ndarray):
     return _kernel(g, X)[1].reshape(lead + (g.n,))
 
 
-def hessian(g: DisorderTensors, m: np.ndarray, cap: int = HESSIAN_CAP) -> np.ndarray:
+def hessian(g: DisorderTensors, m: np.ndarray) -> np.ndarray:
     """Exact Hessian of the Hamiltonian: per degree, scale J_k^T C_p, where
     J_k (K, n) is the Jacobian at m of the level-k monomials, k = p-1.  In
     colex order the level-k rows with largest index j form one segment, the
@@ -300,8 +299,8 @@ def hessian(g: DisorderTensors, m: np.ndarray, cap: int = HESSIAN_CAP) -> np.nda
     down to J_1 = I, one pass over contiguous segments per level: K n flops,
     and no array larger than the level below C_p is made.  The sum over
     degrees is symmetrized once at the end."""
-    if g.n > cap:
-        raise ValueError(f"Hessian cap exceeded: n={g.n} > {cap}")
+    if g.n > HESSIAN_CAP:
+        raise ValueError(f"Hessian cap exceeded: n={g.n} > {HESSIAN_CAP}")
     mv = np.asarray(m, dtype=float)
     if mv.shape != (g.n,):
         raise ValueError("hessian takes a single vector")
@@ -339,14 +338,14 @@ def hamiltonian_table(g: DisorderTensors) -> np.ndarray:
     return hamiltonian(g, all_spins(g.n))
 
 
-def partition_rescaled(g: DisorderTensors, beta: float, cap: int = ENUMERATION_CAP) -> float:
+def partition_rescaled(g: DisorderTensors, beta: float) -> float:
     """Z_xi(G) = 2^{-n} sum_x exp(beta H(x) - n beta^2 xi(1) / 2).
 
     Exact sum over all 2^n configurations (log-sum-exp stabilized); its
     disorder expectation is exactly 1 for every beta.
     """
-    if g.n > cap:
-        raise ValueError(f"enumeration cap exceeded: n={g.n} > {cap}")
+    if not np.isfinite(beta):
+        raise ValueError("beta must be finite")
     H = hamiltonian_table(g)
     shift = g.n * math.log(2.0) + 0.5 * g.n * beta * beta * g.spec.xi(1.0)
     return float(np.exp(_logsumexp(beta * H) - shift))
@@ -408,7 +407,7 @@ def read_tensors(path) -> DisorderTensors:
         csq = tuple((p, *struct.unpack("<d", f.read(8))) for p in range(2, P + 1))
         seed, tag = struct.unpack("<QB", f.read(9))
         spec = MixtureSpec(csq)  # drops the zero terms the format writes
-        _check_budget(spec, n, ENTRY_BUDGET)
+        _check_budget(spec, n)
         expected = header_len + 8 * sum(n**p for p, _ in spec.coeffs)
         if size != expected:
             problem = "body truncated" if size < expected else "has trailing bytes"

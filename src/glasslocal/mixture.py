@@ -51,7 +51,7 @@ class MixtureSpec:
             total += csq
         if total <= 0:
             raise ValueError("at least one c_p^2 must be positive")
-        # a zero term is dropped once validated: a spec equals its tensor
+        # a zero term is dropped once checked: a spec equals its tensor
         # file's read-back, which cannot tell a zero term from an absent one
         object.__setattr__(
             self, "coeffs", tuple((int(p), float(c)) for p, c in self.coeffs if c > 0)

@@ -10,11 +10,13 @@ from glasslocal import (
     MixtureSpec,
     empirical_w2,
     exact_gibbs,
+    exact_mean_batch,
     exact_sample,
     gen_random,
     glauber_run,
     hamiltonian,
     overlap_moment,
+    partition_rescaled,
 )
 from glasslocal.baselines import SampleBatch, _assign
 from glasslocal.disorder import DisorderTensors, all_spins
@@ -123,23 +125,34 @@ class TestGlauber:
         with pytest.raises(ValueError, match="thin"):
             glauber_run(g, 0.4, np.ones(5), sweeps=30, seed=9, thin=thin)
 
-    def test_pair_correlations_match_enumeration(self, sk):
-        # n = 8 chain vs exact second moments, 3 s.e. of the chain estimate
-        n, beta = 8, 0.3
-        g = gen_random(sk, n, seed=8)
+    @staticmethod
+    def _assert_moments_match(g, beta, batch):
+        # chain vs exact first and second moments within 12 s.e. of the
+        # chain estimate: 3 s.e., inflated by 4 since thinned samples
+        # remain correlated
         d = exact_gibbs(g, beta)
-        exact_second = d.cov + np.outer(d.mean, d.mean)
-        batch = glauber_run(g, beta, np.ones(n), sweeps=100_000, seed=5, burn_in=2000, thin=5)
         X = batch.spins
         M = X.shape[0]
-        emp = X.T @ X / M
+        se_first = X.std(axis=0, ddof=1) / np.sqrt(M)
+        assert np.all(np.abs(X.mean(axis=0) - d.mean) <= 12 * se_first + 1e-12)
         prods = np.einsum("mi,mj->mij", X, X)
         se = prods.std(axis=0, ddof=1) / np.sqrt(M)
-        # thinned samples remain correlated; inflate the nominal s.e.
-        ess_factor = 4.0
-        bad = np.abs(emp - exact_second) > 3 * ess_factor * se + 1e-12
+        bad = np.abs(X.T @ X / M - (d.cov + np.outer(d.mean, d.mean))) > 12 * se + 1e-12
         np.fill_diagonal(bad, False)
         assert not bad.any()
+
+    def test_pair_correlations_match_enumeration(self, sk):
+        n, beta = 8, 0.3
+        g = gen_random(sk, n, seed=8)
+        batch = glauber_run(g, beta, np.ones(n), sweeps=100_000, seed=5, burn_in=2000, thin=5)
+        self._assert_moments_match(g, beta, batch)
+
+    def test_mixed_degree_moments_match_enumeration(self):
+        # the non-quadratic branch: two-row Hamiltonian flips per update
+        n, beta = 6, 0.3
+        g = gen_random(MixtureSpec(((2, 0.5), (3, 0.7))), n, seed=8)
+        batch = glauber_run(g, beta, np.ones(n), sweeps=6000, seed=5, burn_in=500, thin=5)
+        self._assert_moments_match(g, beta, batch)
 
     def test_mixed_degree_path(self, mixed):
         g = gen_random(mixed, 5, seed=10)
@@ -256,6 +269,24 @@ class TestExactGibbsTilt:
         g = gen_random(sk, 4, seed=20)
         with pytest.raises(ValueError, match="tilt y must be finite"):
             exact_gibbs(g, 0.3, np.array([bad, 0.0, 0.0, 0.0]))
+
+
+class TestNonFiniteInput:
+    CALLS = {
+        "exact_gibbs": lambda g, v: exact_gibbs(g, v),
+        "partition_rescaled": lambda g, v: partition_rescaled(g, v),
+        "exact_mean_batch-beta": lambda g, v: exact_mean_batch(g, v, np.zeros((2, 4))),
+        "exact_mean_batch-Y": lambda g, v: exact_mean_batch(g, 0.3, np.array([[0.0] * 4, [v] * 4])),
+        "glauber_run": lambda g, v: glauber_run(g, v, np.ones(4), sweeps=5, seed=0),
+    }
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("call", CALLS)
+    def test_rejected_by_name(self, sk, call, bad):
+        g = gen_random(sk, 4, seed=20)
+        name = "Y" if call.endswith("-Y") else "beta"
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            self.CALLS[call](g, bad)
 
 
 class TestBatchBits:

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import glasslocal
-from glasslocal.cli import _hex_to_spins, _spins_to_hex, main
-from glasslocal.config import CONFIG_SCHEMA, resolve_config, ConfigError
+from glasslocal.cli import _HANDLERS, _hex_to_spins, _spins_to_hex, main
+from glasslocal.config import CONFIG_SCHEMA, KINDS, resolve_config, ConfigError
 from glasslocal.disorder import gen_random, read_tensors, write_tensors
 from glasslocal.mixture import MixtureSpec
 
@@ -93,6 +93,19 @@ class TestConfig:
     def test_schema_is_strict_everywhere(self):
         assert CONFIG_SCHEMA["additionalProperties"] is False
         assert CONFIG_SCHEMA["properties"]["sampler"]["additionalProperties"] is False
+
+    def test_one_subcommand_list(self):
+        assert list(_HANDLERS) == KINDS
+
+    def test_removed_subcommand_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            run_cli("validate")
+        assert e.value.code == 2
+        assert "invalid choice: 'validate'" in capsys.readouterr().err
+
+    def test_removed_kind_rejected(self):
+        with pytest.raises(ConfigError, match="config field 'kind'"):
+            resolve_config({"kind": "validate"})
 
 
 class TestSubcommands:
@@ -326,9 +339,6 @@ class TestDeterminism:
         cfg2.write_text(json.dumps(resolved))
         assert run_cli("sample", "--config", str(cfg2)) == 0
         assert out1.read_bytes() == (tmp_path / "c2.csv").read_bytes()
-
-    def test_validate_subcommand(self):
-        assert run_cli("validate") == 0
 
     def test_trajectory_dump(self, tmp_path):
         out = tmp_path / "t.csv"

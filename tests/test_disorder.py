@@ -105,8 +105,9 @@ class TestGeneration:
         assert 0.99 <= e.var() <= 1.01
 
     def test_budget_rejected(self, sk):
-        with pytest.raises(ValueError):
-            gen_random(sk, 100, seed=0, budget=100)
+        # 4e8 entries, past ENTRY_BUDGET: raises before allocating
+        with pytest.raises(ValueError, match="tensor budget exceeded"):
+            gen_random(sk, 20_000, seed=0)
 
     def test_scalar_only_rejected(self):
         with pytest.raises(ValueError):
@@ -324,6 +325,12 @@ class TestHamiltonianCalculus:
         g = gen_random(MixtureSpec.pure(3), 5, seed=2)
         np.testing.assert_array_equal(hessian(g, np.zeros(5)), np.zeros((5, 5)))
 
+    def test_hessian_cap(self, sk):
+        n = disorder.HESSIAN_CAP + 1
+        g = gen_random(sk, n, seed=0)
+        with pytest.raises(ValueError, match="Hessian cap exceeded"):
+            hessian(g, np.zeros(n))
+
     def test_planted_alignment(self, sk):
         # strong spike: gradient points along the plant
         n, hits = 24, 0
@@ -365,9 +372,9 @@ class TestPartition:
         assert abs(zs.mean() - 1.0) <= 3 * se
 
     def test_cap(self, sk):
-        g = gen_random(sk, 8, seed=0)
-        with pytest.raises(ValueError):
-            partition_rescaled(g, 0.5, cap=6)
+        g = gen_random(sk, disorder.ENUMERATION_CAP + 1, seed=0)
+        with pytest.raises(ValueError, match="enumeration cap exceeded"):
+            partition_rescaled(g, 0.5)
 
     def test_logsumexp_against_scipy(self, gen):
         from scipy.special import logsumexp
