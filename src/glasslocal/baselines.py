@@ -156,7 +156,11 @@ def glauber_run(
                 flips[:, i] = (1.0, -1.0)
                 hp, hm = hamiltonian(g, flips)
                 delta = hp - hm
-            new = 1.0 if u < 1.0 / (1.0 + math.exp(-beta * delta)) else -1.0
+            try:
+                p_up = 1.0 / (1.0 + math.exp(-beta * delta))
+            except OverflowError:  # -beta delta past about 709: p_up underflows to 0
+                p_up = 0.0
+            new = 1.0 if u < p_up else -1.0
             if new != x[i]:
                 if quadratic_only:
                     field += S[:, i] * (new - x[i])

@@ -49,9 +49,9 @@ CONFIG_SCHEMA = {
             "properties": {
                 "delta": {"type": "number", "exclusiveMinimum": 0, "default": 0.05},
                 "L": {"type": "integer", "minimum": 1, "default": 400},
-                "k_amp": {"type": "integer", "minimum": 1, "default": 30},
+                "k_amp": {"type": "integer", "minimum": 1, "default": 5},
                 "k_ngd": {"type": "integer", "minimum": 1, "default": 100},
-                "eta": {"type": "number", "exclusiveMinimum": 0, "default": 0.1},
+                "eta": {"type": "number", "exclusiveMinimum": 0, "default": 0.6},
                 "gamma": {"type": "number", "minimum": 0, "default": 1.0},
                 "keep_trajectory": {"type": "boolean", "default": False},
                 "replicas": {"type": "integer", "minimum": 1, "default": 1},

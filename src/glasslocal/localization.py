@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
+from .config import CONFIG_SCHEMA
 from .disorder import DisorderTensors
 from .amp import amp_run
 from .state_evolution import q_schedule
@@ -39,20 +40,30 @@ __all__ = [
     "simulate_planted_path",
 ]
 
+#: NGD stops a row once ||grad F|| / sqrt(n) falls to this.
+NGD_TOL = 1e-8
+
+_SAMPLER = CONFIG_SCHEMA["properties"]["sampler"]["properties"]
+
+
+def _default(key: str):
+    """The config schema's default for `sampler.<key>`, its one home."""
+    return _SAMPLER[key]["default"]
+
 
 @dataclass
 class SamplerParams:
     """All knobs of one sampler run; T = L * delta."""
 
     beta: float
-    delta: float = 0.05
-    L: int = 400
-    k_amp: int = 30
-    k_ngd: int = 100
-    eta: float = 0.1
-    gamma: float = 1.0
+    delta: float = _default("delta")
+    L: int = _default("L")
+    k_amp: int = _default("k_amp")
+    k_ngd: int = _default("k_ngd")
+    eta: float = _default("eta")
+    gamma: float = _default("gamma")
     seed: int = 0
-    keep_trajectory: bool = False
+    keep_trajectory: bool = _default("keep_trajectory")
 
     def __post_init__(self):
         if not 0.0 < self.delta < math.inf:
@@ -92,12 +103,13 @@ def _estimate(
     """Two-stage mean of the tilted measure: message passing, then NGD.
 
     AMP starts from zero and the natural-parameter handoff is u^0 = z^{k_amp}
-    directly.  Returns the final NGD iterate, whose `m` is the estimate and
+    directly.  NGD runs at most k_ngd steps per row and stops a row at
+    `NGD_TOL`.  Returns the final NGD iterate, whose `m` is the estimate and
     whose `grad_norm` is ||grad F(m)||.
     """
     final = amp_run(g, y, beta, k_amp, keep_history=False)[-1]
     params = TapParams(beta=beta, q=q, gamma_reg=gamma, y=np.asarray(y, dtype=float))
-    return ngd_run(g, final.z, params, eta, k_ngd, keep_history=False)[-1]
+    return ngd_run(g, final.z, params, eta, k_ngd, keep_history=False, tol=NGD_TOL)[-1]
 
 
 def mean_estimate(
@@ -105,13 +117,13 @@ def mean_estimate(
     y: np.ndarray,
     beta: float,
     q: float,
-    k_amp: int = 30,
-    k_ngd: int = 100,
-    eta: float = 0.1,
-    gamma: float = 1.0,
+    k_amp: int = SamplerParams.k_amp,
+    k_ngd: int = SamplerParams.k_ngd,
+    eta: float = SamplerParams.eta,
+    gamma: float = SamplerParams.gamma,
 ):
-    """Final magnetization tanh(u^{k_ngd}) of the two-stage estimator;
-    accepts y as a vector or a batch."""
+    """Final magnetization of the two-stage estimator, after at most k_ngd
+    NGD steps; accepts y as a vector or a batch."""
     return _estimate(g, y, beta, q, k_amp, k_ngd, eta, gamma).m
 
 

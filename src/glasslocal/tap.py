@@ -190,8 +190,16 @@ def ngd_run(
     eta: float,
     K: int,
     keep_history: bool = True,
+    tol: float = 0.0,
 ) -> list[TapIterate]:
-    """Natural gradient descent u <- u - eta grad F(tanh(u)) for K steps.
+    """Natural gradient descent u <- u - eta grad F(tanh(u)): at most K steps;
+    a row stops at tol.
+
+    Before each step, a row whose ||grad F|| / sqrt(n) <= tol is frozen for the
+    rest of the run: it takes a zero step, so its u, m, value and gradient keep
+    their bits, and it never triggers a halving.  The run ends once every row
+    is frozen (a run frozen at entry keeps just its start state), or after K
+    steps.  tol = 0 turns the stop off: every run takes K steps.
 
     If a step increases F, its learning rate is halved and the step retried
     (at most MAX_HALVINGS times, per batch row); the next step resumes at
@@ -212,6 +220,8 @@ def ngd_run(
         raise ValueError("eta must be positive and finite")
     if K < 1:
         raise ValueError("K must be >= 1")
+    if not 0.0 <= tol < np.inf:
+        raise ValueError("tol must be nonnegative and finite")
     U, lead = _rows(u0, g.n, "u0")
     terms = _onsager_terms(g, params)
     U, M = U.copy(), np.tanh(U)  # a copy: u0 is never written
@@ -228,15 +238,24 @@ def ngd_run(
         )
 
     states: list[TapIterate] = []
+    frozen = np.zeros(f.shape, dtype=bool)
     for k in range(K):
         if not np.all(np.isfinite(gvec)):
             raise FloatingPointError(f"NGD gradient non-finite at step k={k}")
+        if tol > 0.0:
+            frozen |= np.einsum("ij,ij->i", gvec, gvec) <= tol * tol * g.n  # ||grad||^2 / n
+            if frozen.all():
+                break
+        held = np.flatnonzero(frozen)  # indices: with no row frozen, nothing is copied
         eta_row = np.full(f.shape, eta)
         noise_tol = 1e-12 * (1.0 + np.abs(f))
         for attempt in range(MAX_HALVINGS + 1):
             np.subtract(U, np.multiply(eta_row[:, None], gvec, out=U_try), out=U_try)
+            U_try[held] = U[held]
             np.tanh(U_try, out=M_try)
             f_try, _ = _ftap(g, U_try, M_try, params, *terms, (g_try, scratch))
+            # a frozen row keeps its value and gradient bits, so it never halves
+            f_try[held], g_try[held] = f[held], gvec[held]
             bad = f_try > f + noise_tol
             if not np.any(bad):
                 break
@@ -252,6 +271,6 @@ def ngd_run(
             raise FloatingPointError(f"NGD produced a non-finite iterate at step k={k}")
         if keep_history:  # the arrays are reused, so a stored state gets copies
             states.append(_mk_state(U.copy(), M.copy(), f, gvec))
-    if not keep_history:
+    if not keep_history or not states:
         states = [_mk_state(U, M, f, gvec)]
     return states

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 import glasslocal
 from glasslocal.cli import _HANDLERS, _hex_to_spins, _spins_to_hex, main
 from glasslocal.config import CONFIG_SCHEMA, KINDS, resolve_config, ConfigError
-from glasslocal.disorder import gen_random, read_tensors, write_tensors
+from glasslocal.disorder import gen_random, hamiltonian, read_tensors, write_tensors
 from glasslocal.mixture import MixtureSpec
 
 
@@ -63,9 +63,9 @@ class TestConfig:
         cfg = resolve_config({"kind": "sample"})
         assert cfg["sampler"]["delta"] == 0.05
         assert cfg["sampler"]["L"] == 400
-        assert cfg["sampler"]["k_amp"] == 30
+        assert cfg["sampler"]["k_amp"] == 5
         assert cfg["sampler"]["k_ngd"] == 100
-        assert cfg["sampler"]["eta"] == 0.1
+        assert cfg["sampler"]["eta"] == 0.6
         assert cfg["sampler"]["gamma"] == 1.0
 
     @pytest.mark.parametrize("key", ["bogus", "threads"])
@@ -284,6 +284,22 @@ class TestSubcommands:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "state,x_bits_hex"
         assert len(lines) == 16
+
+    def test_glauber_large_beta(self, tmp_path):
+        # beta delta reaches thousands, past exp's overflow: the chain is
+        # zero-temperature Glauber and ends at a one-flip local maximum of H
+        out = tmp_path / "gl.csv"
+        code = run_cli(
+            "glauber", "--n", "6", "--beta", "1000", "--set", "glauber.sweeps=20",
+            "--set", "glauber.burn_in=0", "--set", "glauber.thin=1", "--out", str(out),
+        )
+        assert code == 0
+        rows = out.read_text().strip().split("\n")[1:]
+        assert len(rows) == 20
+        x = _hex_to_spins(rows[-1].split(",")[1], 6)
+        flips = np.where(np.eye(6, dtype=bool), -x, x)
+        g = gen_random(MixtureSpec.from_dict({"2": 0.5}), 6, seed=0)
+        assert np.all(hamiltonian(g, flips) <= hamiltonian(g, x))
 
     def test_chaos_csv(self, tmp_path):
         out = tmp_path / "chaos.csv"

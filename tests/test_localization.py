@@ -1,3 +1,6 @@
+import dataclasses
+import inspect
+import itertools
 import logging
 
 import numpy as np
@@ -16,6 +19,7 @@ from glasslocal import (
     simulate_planted_path,
 )
 from glasslocal import disorder, localization, rng, tap
+from glasslocal.config import CONFIG_SCHEMA
 from glasslocal.localization import SamplerParams
 from glasslocal.state_evolution import q_schedule
 from glasslocal.tap import TapParams, ftap_grad
@@ -199,11 +203,14 @@ class TestSampler:
         # NGD's gradient uses u where ftap_grad uses atanh(tanh(u))
         n = 6
         g = gen_random(sk, n, seed=8)
+        # eta = 0.1 keeps every row above NGD_TOL for all 20 steps, so the
+        # norm is large against the recomputation's rounding
         p = SamplerParams(
-            beta=0.3, delta=0.25, L=5, k_amp=5, k_ngd=20, seed=1, keep_trajectory=True
+            beta=0.3, delta=0.25, L=5, k_amp=5, k_ngd=20, eta=0.1, seed=1, keep_trajectory=True
         )
         run = sample(g, p, n_replicas=n_replicas)
         gn = np.atleast_1d(run.grad_norm_last)
+        assert np.all(gn > localization.NGD_TOL)  # a frozen row would end at or below it
         np.testing.assert_array_equal(gn, run.step_grad_norms[p.L] / np.sqrt(n))
         tp = TapParams(beta=p.beta, q=float(run.q_used[p.L]), gamma_reg=p.gamma,
                        y=np.atleast_2d(run.y_trajectory[p.L]))
@@ -216,6 +223,18 @@ class TestSampler:
         run = sample(g, p)
         assert run.q_used[0] == 0.0
         assert np.all(np.diff(run.q_used) >= 0)
+
+    def test_defaults_are_the_schema_defaults(self):
+        schema = CONFIG_SCHEMA["properties"]["sampler"]["properties"]
+        fields = {f.name: f.default for f in dataclasses.fields(SamplerParams)}
+        shared = fields.keys() & schema.keys()
+        assert shared == {"delta", "L", "k_amp", "k_ngd", "eta", "gamma", "keep_trajectory"}
+        for key in shared:
+            assert fields[key] == schema[key]["default"], key
+        assert (schema["k_amp"]["default"], schema["eta"]["default"]) == (5, 0.6)
+        params = inspect.signature(mean_estimate).parameters
+        for key in ("k_amp", "k_ngd", "eta", "gamma"):
+            assert params[key].default == fields[key], key
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
@@ -272,24 +291,39 @@ class TestZeroTiltStep:
         np.testing.assert_array_equal(short.step_grad_norms[0], np.zeros(3))
 
     @pytest.mark.parametrize("coeffs", [((2, 0.5),), MIXED_ODD], ids=["sk", "p234"])
-    def test_kernel_calls_hand_count(self, coeffs, monkeypatch, caplog):
-        # each estimated step makes k_amp AMP gradients, then k_ngd + 1 NGD
-        # value-and-gradient calls without halvings; l = 0 makes none
+    @pytest.mark.parametrize("defaults", [False, True], ids=["knobs", "defaults"])
+    def test_kernel_calls_hand_count(self, coeffs, defaults, monkeypatch, caplog):
+        # each estimated step makes k_amp AMP gradients, then 1 + trials NGD
+        # value-and-gradient calls: k_ngd trials with the knobs, whose rows
+        # stay above NGD_TOL, and fewer at the defaults, where every row
+        # freezes early; no halvings, and l = 0 makes no call
         g = gen_random(MixtureSpec(coeffs), 6, seed=3)
-        p = SamplerParams(beta=0.3, delta=0.25, L=3, seed=7, **self.KNOBS)
+        knobs = {} if defaults else self.KNOBS
+        p = SamplerParams(beta=0.3, delta=0.25, L=3, seed=7, **knobs)
         calls = []
-        kernel = disorder._kernel
 
-        def counted(*args):
-            calls.append(args[1].shape)
-            return kernel(*args)
+        def counted(layer, kernel):
+            def call(*args):
+                calls.append(layer)
+                assert args[1].shape == (2, 6)
+                return kernel(*args)
 
-        monkeypatch.setattr(disorder, "_kernel", counted)
-        monkeypatch.setattr(tap, "_kernel", counted)
+            return call
+
+        monkeypatch.setattr(disorder, "_kernel", counted("amp", disorder._kernel))
+        monkeypatch.setattr(tap, "_kernel", counted("ngd", tap._kernel))
         caplog.set_level(logging.DEBUG, logger="glasslocal.tap")
         sample(g, p, n_replicas=2)
         assert not [r for r in caplog.records if "halved eta" in r.getMessage()]
-        assert calls == [(2, 6)] * (p.L * (p.k_amp + p.k_ngd + 1))
+        runs = [(k, len(list(grp))) for k, grp in itertools.groupby(calls)]
+        assert [k for k, _ in runs] == ["amp", "ngd"] * p.L
+        assert all(count == p.k_amp for k, count in runs if k == "amp")
+        ngd = [count - 1 for k, count in runs if k == "ngd"]
+        if defaults:
+            assert all(1 <= trials < p.k_ngd for trials in ngd)
+        else:
+            assert ngd == [p.k_ngd] * p.L
+        assert len(calls) == sum(p.k_amp + 1 + trials for trials in ngd)
 
 
 class TestPinnedCoordinates:
@@ -310,7 +344,7 @@ class TestPinnedCoordinates:
         u0 = amp_run(g, Y, p.beta, p.k_amp)[-1].z
         assert np.any(np.abs(u0) > 19.1)
         tp = TapParams(beta=p.beta, q=float(run.q_used[p.L]), gamma_reg=p.gamma, y=Y)
-        traj = tap.ngd_run(g, u0, tp, p.eta, p.k_ngd)
+        traj = tap.ngd_run(g, u0, tp, p.eta, p.k_ngd, tol=localization.NGD_TOL)
         np.testing.assert_array_equal(traj[-1].m, run.mean_final, strict=True)
         for it in traj:
             pinned = np.abs(it.u) > 19.1

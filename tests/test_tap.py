@@ -425,6 +425,88 @@ class TestNgd:
             TapParams(beta=beta, q=0.1, gamma_reg=1.0, y=np.zeros(4))
 
 
+class TestNgdStop:
+    """`ngd_run(..., tol)` freezes a row once ||grad F|| / sqrt(n) <= tol."""
+
+    TOL = 1e-8
+
+    def _setup(self, n=10, seed=17):
+        g = gen_random(MixtureSpec.pure(2), n, seed=seed)
+        y = rng.stream(seed, "ngd-y").standard_normal(n)
+        return g, TapParams(beta=0.4, q=0.2, gamma_reg=1.0, y=y)
+
+    def _stationary(self, g, params):
+        final = ngd_run(g, np.zeros(g.n), params, eta=0.3, K=400, keep_history=False)[-1]
+        assert final.grad_norm / np.sqrt(g.n) <= 1e-11
+        return final.u
+
+    def test_stationary_row_keeps_its_bits(self):
+        g, params = self._setup()
+        u_star = self._stationary(g, params)
+        u0 = np.stack([u_star, np.zeros(g.n)])
+        traj = ngd_run(g, u0, params, eta=0.6, K=50, tol=self.TOL)
+        for it in traj:
+            np.testing.assert_array_equal(it.u[0], u_star, strict=True)
+            np.testing.assert_array_equal(it.m[0], np.tanh(u_star), strict=True)
+        assert not np.array_equal(traj[-1].u[1], u0[1])
+        assert traj[-1].grad_norm[1] / np.sqrt(g.n) <= self.TOL
+
+    def test_frozen_row_is_the_row_cut_where_it_froze(self):
+        # two rows that freeze after different step counts: each final row is
+        # the tol = 0 run's row at its freeze step (the same batch, so the
+        # same bits) and, to rounding, that row run alone for that many steps
+        g, params = self._setup()
+        u0 = np.stack([0.9 * np.tanh(params.y), 3.0 * rng.stream(17, "far").standard_normal(g.n)])
+        free = ngd_run(g, u0, params, eta=0.6, K=200)
+        gn = np.array([it.grad_norm for it in free]) / np.sqrt(g.n)
+        froze = [int(np.argmax(gn[:, r] <= self.TOL)) + 1 for r in range(2)]
+        assert froze[0] != froze[1] and max(froze) < 200
+        stopped = ngd_run(g, u0, params, eta=0.6, K=200, tol=self.TOL)
+        assert len(stopped) == max(froze)
+        for r, k in enumerate(froze):
+            for name in ("u", "m", "ftap", "grad_norm"):
+                got, want = getattr(stopped[-1], name)[r], getattr(free[k - 1], name)[r]
+                np.testing.assert_array_equal(got, want, strict=True)
+            alone = ngd_run(g, u0[r], params, eta=0.6, K=k, keep_history=False)[-1]
+            np.testing.assert_allclose(stopped[-1].u[r], alone.u, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("keep_history", [True, False])
+    def test_frozen_at_entry_returns_start_state(self, monkeypatch, keep_history):
+        g, params = self._setup()
+        u_star = self._stationary(g, params)
+        u0 = np.stack([u_star, u_star])
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1].shape)
+            return kernel(*args)
+
+        kernel = tap._kernel
+        monkeypatch.setattr(tap, "_kernel", counted)
+        states = ngd_run(g, u0, params, eta=0.6, K=20, keep_history=keep_history, tol=self.TOL)
+        assert calls == [(2, g.n)]
+        assert len(states) == 1
+        np.testing.assert_array_equal(states[0].u, u0, strict=True)
+        np.testing.assert_array_equal(states[0].m, np.tanh(u0), strict=True)
+        assert not np.shares_memory(states[0].u, u0)
+
+    def test_tol_zero_takes_every_step(self, sk):
+        # y = 0 at u = 0 has a zero gradient: the stop ends the run at entry,
+        # and tol = 0, the default, still takes all K steps
+        g = gen_random(sk, 6, seed=18)
+        params = TapParams(beta=0.4, q=0.2, gamma_reg=1.0, y=np.zeros(6))
+        assert len(ngd_run(g, np.zeros((2, 6)), params, eta=0.6, K=7)) == 7
+        assert len(ngd_run(g, np.zeros((2, 6)), params, eta=0.6, K=7, tol=0.0)) == 7
+        assert len(ngd_run(g, np.zeros((2, 6)), params, eta=0.6, K=7, tol=self.TOL)) == 1
+
+    @pytest.mark.parametrize("tol", [-1e-8, np.nan, np.inf])
+    def test_tol_checked(self, sk, tol):
+        g = gen_random(sk, 4, seed=14)
+        params = TapParams(beta=0.4, q=0.2, gamma_reg=1.0, y=np.zeros(4))
+        with pytest.raises(ValueError, match="tol"):
+            ngd_run(g, np.zeros(4), params, eta=0.1, K=2, tol=tol)
+
+
 def _fresh_array_ngd(g, U, params, eta, K, keep_history):
     """Reference NGD loop with fresh arrays in every trial: `_ftap` without a
     workspace.  Returns the (u, m, ftap, grad_norm) of each kept iterate and
