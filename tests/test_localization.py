@@ -291,15 +291,12 @@ class TestZeroTiltStep:
         np.testing.assert_array_equal(short.step_grad_norms[0], np.zeros(3))
 
     @pytest.mark.parametrize("coeffs", [((2, 0.5),), MIXED_ODD], ids=["sk", "p234"])
-    @pytest.mark.parametrize("defaults", [False, True], ids=["knobs", "defaults"])
-    def test_kernel_calls_hand_count(self, coeffs, defaults, monkeypatch, caplog):
+    def test_kernel_calls_hand_count(self, coeffs, monkeypatch, caplog):
         # each estimated step makes k_amp AMP gradients, then 1 + trials NGD
         # value-and-gradient calls: k_ngd trials with the knobs, whose rows
         # stay above NGD_TOL, and fewer at the defaults, where every row
         # freezes early; no halvings, and l = 0 makes no call
         g = gen_random(MixtureSpec(coeffs), 6, seed=3)
-        knobs = {} if defaults else self.KNOBS
-        p = SamplerParams(beta=0.3, delta=0.25, L=3, seed=7, **knobs)
         calls = []
 
         def counted(layer, kernel):
@@ -313,17 +310,20 @@ class TestZeroTiltStep:
         monkeypatch.setattr(disorder, "_kernel", counted("amp", disorder._kernel))
         monkeypatch.setattr(tap, "_kernel", counted("ngd", tap._kernel))
         caplog.set_level(logging.DEBUG, logger="glasslocal.tap")
-        sample(g, p, n_replicas=2)
+        for knobs in (self.KNOBS, {}):
+            p = SamplerParams(beta=0.3, delta=0.25, L=3, seed=7, **knobs)
+            calls.clear()
+            sample(g, p, n_replicas=2)
+            runs = [(k, len(list(grp))) for k, grp in itertools.groupby(calls)]
+            assert [k for k, _ in runs] == ["amp", "ngd"] * p.L
+            assert all(count == p.k_amp for k, count in runs if k == "amp")
+            trials = [count - 1 for k, count in runs if k == "ngd"]
+            if knobs:
+                assert trials == [p.k_ngd] * p.L
+            else:
+                assert all(1 <= t < p.k_ngd for t in trials)
+            assert len(calls) == sum(p.k_amp + 1 + t for t in trials)
         assert not [r for r in caplog.records if "halved eta" in r.getMessage()]
-        runs = [(k, len(list(grp))) for k, grp in itertools.groupby(calls)]
-        assert [k for k, _ in runs] == ["amp", "ngd"] * p.L
-        assert all(count == p.k_amp for k, count in runs if k == "amp")
-        ngd = [count - 1 for k, count in runs if k == "ngd"]
-        if defaults:
-            assert all(1 <= trials < p.k_ngd for trials in ngd)
-        else:
-            assert ngd == [p.k_ngd] * p.L
-        assert len(calls) == sum(p.k_amp + 1 + trials for trials in ngd)
 
 
 class TestPinnedCoordinates:

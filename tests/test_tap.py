@@ -451,6 +451,27 @@ class TestNgdStop:
         assert not np.array_equal(traj[-1].u[1], u0[1])
         assert traj[-1].grad_norm[1] / np.sqrt(g.n) <= self.TOL
 
+    def test_frozen_row_never_halves(self, monkeypatch, caplog):
+        # a frozen row's value is carried, not recomputed: a kernel whose H
+        # drifts on that row from call to call (raising F) triggers no halving
+        g, params = self._setup()
+        u_star = self._stationary(g, params)
+        calls = []
+
+        def drifting(g_, X, work=None):
+            h, gr = kernel(g_, X, work)
+            calls.append(1)
+            h[np.all(X == np.tanh(u_star), axis=-1)] -= 1e-6 * len(calls)
+            return h, gr
+
+        kernel = tap._kernel
+        monkeypatch.setattr(tap, "_kernel", drifting)
+        caplog.set_level(logging.DEBUG, logger="glasslocal.tap")
+        traj = ngd_run(g, np.stack([u_star, np.zeros(g.n)]), params, eta=0.6, K=50, tol=self.TOL)
+        assert not [r for r in caplog.records if "halved eta" in r.getMessage()]
+        assert 1 < len(traj) < 50
+        np.testing.assert_array_equal(traj[-1].u[0], u_star, strict=True)
+
     def test_frozen_row_is_the_row_cut_where_it_froze(self):
         # two rows that freeze after different step counts: each final row is
         # the tol = 0 run's row at its freeze step (the same batch, so the
