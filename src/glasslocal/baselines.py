@@ -61,9 +61,9 @@ class SampleBatch:
     seed: int = 0
 
     def __post_init__(self):
-        self.spins = np.asarray(self.spins, dtype=float)
-        if self.spins.ndim != 2 or not np.all(np.abs(self.spins) == 1.0):
-            raise ValueError("a batch is a 2-D array of +-1 spins")
+        s = self.spins = np.asarray(self.spins, dtype=float)
+        if s.ndim != 2 or s.shape[1] < 1 or not np.all(np.abs(s) == 1.0):
+            raise ValueError("a batch is a 2-D array of +-1 spins with n >= 1 columns")
 
     def __len__(self) -> int:
         return self.spins.shape[0]
@@ -270,13 +270,25 @@ def overlap_moment(a: SampleBatch, b: SampleBatch) -> float:
 # packed sign bits (bit 1 = +1, most significant bit first per byte) --------
 
 
+def _pack_spins(spins: np.ndarray) -> np.ndarray:
+    """Rows of +-1 spins -> rows of ceil(n/8) bytes; the padding bits are 0."""
+    return np.packbits(((np.asarray(spins) + 1) / 2).astype(np.uint8), axis=-1)
+
+
+def _unpack_spins(rows: np.ndarray, n: int) -> np.ndarray:
+    """Rows of ceil(n/8) bytes -> (rows, n) +-1 spins.  A set padding bit
+    means the row was written for a larger n, so it is an error."""
+    bits = np.unpackbits(rows, axis=1)
+    if bits[:, n:].any():
+        raise ValueError(f"a row sets a padding bit past n = {n}: it was written for a larger n")
+    return 2.0 * bits[:, :n].astype(float) - 1.0
+
+
 def write_batch_bits(path, batch: SampleBatch) -> None:
     n = batch.spins.shape[1]
-    bits = ((batch.spins + 1) / 2).astype(np.uint8)
-    packed = np.packbits(bits, axis=1)
     with open(path, "wb") as f:
         f.write(int(n).to_bytes(4, "little"))
-        f.write(packed.tobytes())
+        f.write(_pack_spins(batch.spins).tobytes())
 
 
 def read_batch_bits(path) -> SampleBatch:
@@ -290,6 +302,4 @@ def read_batch_bits(path) -> SampleBatch:
     row_bytes = (n + 7) // 8
     if raw.size == 0 or raw.size % row_bytes:
         raise ValueError(f"corrupt batch file: {raw.size} bytes are not whole rows of {row_bytes}")
-    rows = raw.reshape(-1, row_bytes)
-    bits = np.unpackbits(rows, axis=1)[:, :n]
-    return SampleBatch(spins=2.0 * bits.astype(float) - 1.0, provenance="file")
+    return SampleBatch(spins=_unpack_spins(raw.reshape(-1, row_bytes), n), provenance="file")

@@ -24,6 +24,8 @@ from . import __version__, rng
 from .amp import amp_run
 from .baselines import (
     SampleBatch,
+    _pack_spins,
+    _unpack_spins,
     empirical_w2,
     exact_gibbs,
     exact_sample,
@@ -76,15 +78,19 @@ def _csv(header: list[str], rows: list[list]) -> str:
 
 
 def _spins_to_hex(x: np.ndarray) -> str:
-    bits = ((np.asarray(x) + 1) / 2).astype(np.uint8)
-    return np.packbits(bits).tobytes().hex()
+    return _pack_spins(x).tobytes().hex()
 
 
-def _hex_to_spins(h: str, n: int) -> np.ndarray:
-    if len(h) != 2 * ((n + 7) // 8):
-        raise ValueError(f"x_bits_hex {h!r} is not {(n + 7) // 8} bytes, as n = {n} needs")
-    bits = np.unpackbits(np.frombuffer(bytes.fromhex(h), dtype=np.uint8))[:n]
-    return 2.0 * bits.astype(float) - 1.0
+def _hex_to_spins(fields: list[str], n: int) -> np.ndarray:
+    """`x_bits_hex` fields, ceil(n/8) bytes each -> (len(fields), n) spins."""
+    row_bytes = (n + 7) // 8
+    packed = bytearray()
+    for h in fields:
+        b = bytes.fromhex(h)
+        if len(b) != row_bytes:
+            raise ValueError(f"x_bits_hex {h!r} is not {row_bytes} bytes, as n = {n} needs")
+        packed += b
+    return _unpack_spins(np.frombuffer(packed, np.uint8).reshape(len(fields), row_bytes), n)
 
 
 def _spec(cfg: dict) -> MixtureSpec:
@@ -253,17 +259,21 @@ def _cmd_glauber(cfg: dict) -> None:
 
 
 def _read_batch_csv(path: str) -> SampleBatch:
+    """The `x_bits_hex` column, decoded with the `n` of `<path>.config.json`;
+    n and the row widths are checked before any decoding."""
     with open(path + ".config.json") as f:
         paired = json.load(f)
-    n = paired["n"]
-    spins = []
+    n = paired.get("n") if isinstance(paired, dict) else None
+    if type(n) is not int or n < 1:
+        raise ValueError(f"{path}.config.json: n must be an integer >= 1, not {n!r}")
     with open(path) as f:
         header = f.readline().strip().split(",")
-        col = header.index("x_bits_hex")
-        for line in f:
-            if line.strip():
-                spins.append(_hex_to_spins(line.strip().split(",")[col], n))
-    return SampleBatch(spins=np.array(spins).reshape(len(spins), n), provenance="file")
+        rows = [line.strip().split(",") for line in f if line.strip()]
+    for i, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row {i} has {len(row)} fields, the header {len(header)}")
+    col = header.index("x_bits_hex")
+    return SampleBatch(spins=_hex_to_spins([row[col] for row in rows], n), provenance="file")
 
 
 def _read_batch(path: str) -> SampleBatch:

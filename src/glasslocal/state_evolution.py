@@ -52,7 +52,7 @@ BETA2_REFINE = 2000  # points of the local refinement around the argmax
 BETA2_TOL = 1e-4  # bisection width on beta
 RS_PANELS = 2048  # Simpson panels of RS(t) on [0, 1]
 RS_TOL = 1e-3  # bisection width on beta
-BETA_STEP = 1e-3  # beta_dyn's scan step
+BETA_STEP = 1e-3  # bisection width on beta of beta_dyn
 
 #: beta^2 xi(q) + h(q) - log 2 is a difference of O(log 2) quantities, so its
 #: computed value carries ~1e-16 of rounding noise near q = 0; suprema below
@@ -204,6 +204,27 @@ def beta1(spec: MixtureSpec) -> float:
     return min(f(0.5 * (a + b)), float(vals[i]))
 
 
+def _bisect_threshold(name: str, holds, tol: float, ceiling: float | None = None):
+    """Final bracket (lo, hi), hi - lo <= tol, of the beta at which `holds`,
+    a predicate monotone in beta and false at 0, turns true: holds(hi), and
+    lo is 0 or fails.  hi starts at the ceiling, or else doubles from 1 until
+    it holds, at most 60 times.  None when the ceiling does not hold.
+    """
+    lo, hi = 0.0, 1.0 if ceiling is None else ceiling
+    for _ in range(60):
+        if holds(hi):
+            break
+        if ceiling is not None:
+            return None
+        hi *= 2.0
+    else:
+        raise RuntimeError(f"{name}: failed to bracket")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return lo, hi
+
+
 def _sup_free_entropy(spec: MixtureSpec, beta: float, qs: np.ndarray, hq: np.ndarray) -> float:
     vals = beta * beta * spec.xi(qs) + hq - _LOG2
     i = int(np.argmax(vals))
@@ -217,26 +238,13 @@ def _sup_free_entropy(spec: MixtureSpec, beta: float, qs: np.ndarray, hq: np.nda
 
 @lru_cache(maxsize=64)
 def beta2(spec: MixtureSpec) -> float:
-    """sup of beta with beta^2 xi(q) + h(q) - log 2 < 0 on all of (0,1).
-
-    Bisection on beta of the grid-supremum predicate (refined near the
-    argmax).
-    """
+    """sup of beta with beta^2 xi(q) + h(q) - log 2 < 0 on all of (0,1), by
+    bisection of the grid-supremum predicate (refined near the argmax)."""
     qs = np.linspace(1e-6, 1.0 - 1e-9, BETA2_GRID)
     hq = binary_entropy(qs)
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        if _sup_free_entropy(spec, hi, qs, hq) >= NOISE_FLOOR:
-            break
-        hi *= 2.0
-    else:
-        raise RuntimeError("beta2: failed to bracket")
-    while hi - lo > BETA2_TOL:
-        mid = 0.5 * (lo + hi)
-        if _sup_free_entropy(spec, mid, qs, hq) < NOISE_FLOOR:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect_threshold(
+        "beta2", lambda b: _sup_free_entropy(spec, b, qs, hq) >= NOISE_FLOOR, BETA2_TOL
+    )
     return 0.5 * (lo + hi)
 
 
@@ -273,19 +281,7 @@ def _rs_max(spec: MixtureSpec, beta: float, s: np.ndarray) -> float:
 def beta_c_rs(spec: MixtureSpec) -> float:
     """Replica-symmetric critical temperature from the RS(t) <= 0 condition."""
     s = np.linspace(0.0, 1.0, RS_PANELS + 1)
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        if _rs_max(spec, hi, s) > 0:
-            break
-        hi *= 2.0
-    else:
-        raise RuntimeError("beta_c_rs: failed to bracket")
-    while hi - lo > RS_TOL:
-        mid = 0.5 * (lo + hi)
-        if _rs_max(spec, mid, s) <= 0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect_threshold("beta_c_rs", lambda b: _rs_max(spec, b, s) > 0, RS_TOL)
     return 0.5 * (lo + hi)
 
 
@@ -303,36 +299,23 @@ def dyn_h(lam):
     return 0.5 * (a + b)
 
 
+def _dyn_root(spec: MixtureSpec, beta: float) -> bool:
+    """Whether q - H(beta sqrt(xi'(q))) changes sign on the q-grid; H is
+    increasing in its argument, so this is monotone in beta."""
+    q = np.linspace(1e-4, 1.0, Q_GRID)
+    return bool(np.min(q - dyn_h(beta * np.sqrt(spec.xi(q, order=1)))) <= 0)
+
+
 @lru_cache(maxsize=64)
 def beta_dyn(spec: MixtureSpec, ceiling: float = 3.0) -> float | None:
     """Smallest beta at which q = H(beta sqrt(xi'(q))) has a root q > 0.
 
-    Upward scan in steps of BETA_STEP; each candidate checks for a sign
-    change of q - H(.) on a q-grid.  H is increasing in its argument, so the
-    per-beta predicate is monotone and the scan can run coarse-to-fine: the
-    returned grid point is identical to a plain BETA_STEP sweep.  Returns None
-    when no solution appears below the scan ceiling.
+    The upper end of the final bisection bracket, BETA_STEP wide, so the
+    grid root exists there and not BETA_STEP below.  Returns None when there
+    is no root at the ceiling.
     """
-    q = np.linspace(1e-4, 1.0, Q_GRID)
-    sqrt_xi1 = np.sqrt(spec.xi(q, order=1))
-
-    def admits_root(b: float) -> bool:
-        return bool(np.min(q - dyn_h(b * sqrt_xi1)) <= 0)
-
-    coarse = 32 * BETA_STEP
-    b_hi = None
-    for b in np.arange(coarse, ceiling + coarse, coarse):
-        if admits_root(min(b, ceiling)):
-            b_hi = min(b, ceiling)
-            break
-        if b >= ceiling:
-            return None
-    if b_hi is None:
-        return None
-    for b in np.arange(max(b_hi - coarse, 0.0) + BETA_STEP, b_hi + BETA_STEP / 2, BETA_STEP):
-        if admits_root(b):
-            return float(b)
-    return float(b_hi)
+    bracket = _bisect_threshold("beta_dyn", lambda b: _dyn_root(spec, b), BETA_STEP, ceiling)
+    return None if bracket is None else float(bracket[1])
 
 
 def psi_star(spec: MixtureSpec, beta: float, t: float) -> float:
@@ -384,7 +367,7 @@ def thresholds(spec: MixtureSpec, c0: float = 0.25, dyn_ceiling: float = 3.0) ->
             "beta2": {"grid": BETA2_GRID, "refine": BETA2_REFINE, "bisect_tol": BETA2_TOL},
             "beta3": {"c0": c0, "c0_is_heuristic": True},
             "beta_c_rs": {"simpson_panels": RS_PANELS, "bisect_tol": RS_TOL},
-            "beta_dyn": {"beta_step": BETA_STEP, "q_grid": Q_GRID, "ceiling": dyn_ceiling},
+            "beta_dyn": {"bisect_tol": BETA_STEP, "q_grid": Q_GRID, "ceiling": dyn_ceiling},
             "quadrature_nodes": DEFAULT_RULE.n_nodes,
             "fixed_point_tol": FIXED_POINT_TOL,
         },

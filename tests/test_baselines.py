@@ -317,6 +317,29 @@ class TestBatchBits:
         back = read_batch_bits(path)
         np.testing.assert_array_equal(back.spins, spins, strict=True)
 
+    @pytest.mark.parametrize("n, row", [(6, 0b00000010), (6, 0b00000001), (9, 0b01000000)])
+    def test_set_padding_bit_rejected(self, tmp_path, n, row):
+        # a row written for a larger n: its bits past n are data, not padding
+        from glasslocal import read_batch_bits
+
+        path = tmp_path / "pad.bits"
+        path.write_bytes(n.to_bytes(4, "little") + bytes([0xFF] * (n // 8) + [row]))
+        with pytest.raises(ValueError, match=f"sets a padding bit past n = {n}"):
+            read_batch_bits(path)
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 0)])
+    def test_batch_needs_a_column(self, shape):
+        # at n = 0, empirical_w2 would divide by zero and overlap_moment give NaN
+        with pytest.raises(ValueError, match="n >= 1 columns"):
+            SampleBatch(spins=np.ones(shape))
+
+    def test_padding_is_zero(self):
+        from glasslocal.baselines import _pack_spins, _unpack_spins
+
+        rows = _pack_spins(np.ones((2, 6)))
+        assert rows.tolist() == [[0b11111100]] * 2
+        np.testing.assert_array_equal(_unpack_spins(rows, 6), np.ones((2, 6)))
+
     def test_corrupt_rejected(self, tmp_path):
         from glasslocal import read_batch_bits
 

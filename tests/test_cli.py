@@ -55,7 +55,7 @@ def test_spin_hex_roundtrip(n, seed):
     x = np.where(np.random.default_rng(seed).uniform(size=n) < 0.5, -1.0, 1.0)
     h = _spins_to_hex(x)
     assert len(h) == 2 * ((n + 7) // 8)
-    np.testing.assert_array_equal(_hex_to_spins(h, n), x, strict=True)
+    np.testing.assert_array_equal(_hex_to_spins([h], n)[0], x, strict=True)
 
 
 class TestConfig:
@@ -201,8 +201,9 @@ class TestSubcommands:
             ((10).to_bytes(4, "little"), "corrupt batch file"),
             (b"\x0a", "header truncated"),
             ((0).to_bytes(4, "little") + b"\x01", "n = 0"),
+            ((6).to_bytes(4, "little") + b"\xff", "sets a padding bit past n = 6"),
         ],
-        ids=["header-only", "one-byte", "n-zero"],
+        ids=["header-only", "one-byte", "n-zero", "padding-bit"],
     )
     def test_bad_bits_file_reported(self, tmp_path, capsys, raw, match):
         path = tmp_path / "bad.bits"
@@ -296,7 +297,7 @@ class TestSubcommands:
         assert code == 0
         rows = out.read_text().strip().split("\n")[1:]
         assert len(rows) == 20
-        x = _hex_to_spins(rows[-1].split(",")[1], 6)
+        x = _hex_to_spins([rows[-1].split(",")[1]], 6)[0]
         flips = np.where(np.eye(6, dtype=bool), -x, x)
         g = gen_random(MixtureSpec.from_dict({"2": 0.5}), 6, seed=0)
         assert np.all(hamiltonian(g, flips) <= hamiltonian(g, x))
@@ -328,6 +329,78 @@ class TestSubcommands:
         assert lines[0] == "s,seed,spin_distance,mean_distance"
         first = lines[1].split(",")
         assert float(first[2]) == 0.0  # s = 0 row is exactly zero
+
+
+RERUN_MIXTURES = [{"2": 0.5}, {"2": 0.5, "3": 0.7, "4": 0.2}, {"3": 0.6}]
+
+
+@st.composite
+def rerun_configs(draw):
+    """A small run of one of the five commands that draw random numbers."""
+    kind = draw(st.sampled_from(["sample", "exact", "glauber", "amp", "tap"]))
+    cfg = {
+        "kind": kind,
+        "mixture": draw(st.sampled_from(RERUN_MIXTURES)),
+        "n": draw(st.integers(1, 8)),
+        "beta": draw(st.floats(0.0, 0.4)),
+        "seed": draw(st.integers(0, 2**31)),
+    }
+    if kind == "sample":
+        cfg["sampler"] = {
+            "L": draw(st.integers(1, 3)),
+            "delta": draw(st.floats(0.05, 0.5)),
+            "k_amp": draw(st.integers(1, 4)),
+            "k_ngd": draw(st.integers(1, 6)),
+            "eta": draw(st.floats(0.05, 1.0)),
+            "keep_trajectory": draw(st.booleans()),
+            "replicas": draw(st.integers(1, 4)),
+        }
+    elif kind == "exact":
+        cfg["exact"] = {"m_samples": draw(st.integers(1, 30))}
+    elif kind == "glauber":
+        sweeps = draw(st.integers(1, 8))
+        burn_in = draw(st.integers(0, sweeps - 1))
+        cfg["glauber"] = {"sweeps": sweeps, "burn_in": burn_in, "thin": draw(st.integers(1, 3))}
+    elif kind == "amp":
+        cfg["amp"] = {
+            "k": draw(st.integers(1, 4)),
+            "t": draw(st.floats(0.0, 2.0)),
+            "planted": draw(st.booleans()),
+        }
+    else:
+        cfg["tap"] = {
+            "q": draw(st.floats(0.0, 0.9)),
+            "t": draw(st.floats(0.0, 2.0)),
+            "k_amp": draw(st.integers(1, 4)),
+            "m_source": draw(st.sampled_from(["amp", "zero"])),
+            "spectrum": draw(st.booleans()),
+        }
+    return cfg
+
+
+TWO_CHUNK_SAMPLE = {
+    "kind": "sample", "mixture": {"2": 0.5, "3": 0.7, "4": 0.2}, "n": 7, "beta": 0.4, "seed": 3,
+    "sampler": {"L": 2, "delta": 0.25, "k_amp": 3, "k_ngd": 4, "eta": 0.6,
+                "keep_trajectory": True, "replicas": 66},
+}
+
+
+@given(rerun_configs())
+@settings(max_examples=100, deadline=None)
+@example(TWO_CHUNK_SAMPLE)  # 66 replicas: two REPLICA_CHUNK batches
+def test_rerun_from_echo_byte_identical(tmp_path_factory, cfg):
+    d = tmp_path_factory.mktemp("rerun")
+    first = d / "first.json"
+    first.write_text(json.dumps({**cfg, "out": str(d / "a.out")}))
+    assert run_cli(cfg["kind"], "--config", str(first)) == 0
+    echo = json.loads((d / "a.out.config.json").read_text())
+    second = d / "second.json"
+    second.write_text(json.dumps({**echo, "out": str(d / "b.out")}))
+    assert run_cli(cfg["kind"], "--config", str(second)) == 0
+    assert (d / "a.out").read_bytes() == (d / "b.out").read_bytes()
+    assert json.loads((d / "b.out.config.json").read_text()) == {**echo, "out": str(d / "b.out")}
+    if cfg.get("sampler", {}).get("keep_trajectory"):
+        assert (d / "a.out.traj.bin").read_bytes() == (d / "b.out.traj.bin").read_bytes()
 
 
 class TestDeterminism:
@@ -398,17 +471,27 @@ class TestDeterminism:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "rows, match",
+        "echo, rows, match",
         [
-            ("", "batches must be nonempty"),
-            ("0,94\n1,ff\n", "x_bits_hex '94' is not 2 bytes, as n = 12 needs"),
-            ("0,94a0b1\n", "x_bits_hex '94a0b1' is not 2 bytes, as n = 12 needs"),
+            ({"n": 12}, "", "batches must be nonempty"),
+            ({"n": 12}, "0,94\n1,ff\n", "x_bits_hex '94' is not 2 bytes, as n = 12 needs"),
+            ({"n": 12}, "0,94a0b1\n", "x_bits_hex '94a0b1' is not 2 bytes, as n = 12 needs"),
+            ({"n": 6}, "0,fc\n1\n", "row 2 has 1 fields, the header 2"),
+            ({"kind": "exact"}, "0,fc\n", "n must be an integer >= 1, not None"),
+            ({"n": "6"}, "0,fc\n", "n must be an integer >= 1, not '6'"),
+            ({"n": 6.0}, "0,fc\n", "n must be an integer >= 1, not 6.0"),
+            ({"n": True}, "0,80\n", "n must be an integer >= 1, not True"),
+            ({"n": 0}, "0,\n1,\n", "n must be an integer >= 1, not 0"),
+            ([6], "0,fc\n", "n must be an integer >= 1, not None"),
+            ({"n": 6}, "0,fc\n1,ff\n", "sets a padding bit past n = 6"),
         ],
-        ids=["empty", "short-rows", "long-row"],
+        ids=["empty", "short-rows", "long-row", "missing-field", "no-n", "n-str", "n-float",
+             "n-bool", "n-zero", "echo-not-object", "padding-bit"],
     )
-    def test_w2_bad_batch_csv_reported(self, tmp_path, capsys, rows, match):
+    def test_w2_bad_batch_csv_reported(self, tmp_path, capsys, echo, rows, match):
+        # a hand-edited `exact` output: n and the rows are checked before decoding
         (tmp_path / "e.csv").write_text("sample,x_bits_hex\n" + rows)
-        (tmp_path / "e.csv.config.json").write_text('{"n": 12}')
+        (tmp_path / "e.csv.config.json").write_text(json.dumps(echo))
         out = tmp_path / "w2.csv"
         code = run_cli(
             "w2", "--set", f'w2.batch_a="{tmp_path / "e.csv"}"',

@@ -172,7 +172,7 @@ class TestThresholds:
             "beta2": {"grid": 10000, "refine": 2000, "bisect_tol": 1e-4},
             "beta3": {"c0": 0.25, "c0_is_heuristic": True},
             "beta_c_rs": {"simpson_panels": 2048, "bisect_tol": 1e-3},
-            "beta_dyn": {"beta_step": 1e-3, "q_grid": 4096, "ceiling": 3.0},
+            "beta_dyn": {"bisect_tol": 1e-3, "q_grid": 4096, "ceiling": 3.0},
             "quadrature_nodes": 301,
             "fixed_point_tol": 1e-12,
         }
@@ -180,7 +180,31 @@ class TestThresholds:
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
+class TestBisectThreshold:
+    def test_bracket_straddles_the_flip(self):
+        lo, hi = state_evolution._bisect_threshold("t", lambda b: b >= 2.3, 1e-4)
+        assert lo < 2.3 <= hi and hi - lo <= 1e-4
+
+    def test_ceiling(self):
+        lo, hi = state_evolution._bisect_threshold("t", lambda b: b >= 0.7, 1e-3, ceiling=1.0)
+        assert lo < 0.7 <= hi <= 1.0 and hi - lo <= 1e-3
+        assert state_evolution._bisect_threshold("t", lambda b: b >= 2.0, 1e-3, 1.0) is None
+
+    def test_unbracketed_names_the_threshold(self):
+        calls = []
+        with pytest.raises(RuntimeError, match="beta_x: failed to bracket"):
+            state_evolution._bisect_threshold("beta_x", lambda b: calls.append(b) or False, 1e-3)
+        assert calls == [2.0**k for k in range(60)]
+
+
 class TestBetaDyn:
+    @pytest.mark.parametrize("spec_name", ["sk", "mixed", "p3"])
+    def test_root_predicate_flips_within_step(self, request, spec_name):
+        spec = MixtureSpec.pure(3) if spec_name == "p3" else request.getfixturevalue(spec_name)
+        bd = beta_dyn(spec)
+        assert state_evolution._dyn_root(spec, bd)
+        assert not state_evolution._dyn_root(spec, bd - state_evolution.BETA_STEP)
+
     def test_pure_cubic_pinned(self):
         # oracle: beta x q double-grid brute force (tests/oracles)
         bd = beta_dyn(MixtureSpec.pure(3))
