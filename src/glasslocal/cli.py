@@ -86,8 +86,8 @@ def _hex_to_spins(fields: list[str], n: int) -> np.ndarray:
     row_bytes = (n + 7) // 8
     packed = bytearray()
     for h in fields:
-        b = bytes.fromhex(h)
-        if len(b) != row_bytes:
+        b = bytes.fromhex(h) if len(h) == 2 * row_bytes else b""
+        if len(b) != row_bytes:  # fromhex skips spaces between bytes
             raise ValueError(f"x_bits_hex {h!r} is not {row_bytes} bytes, as n = {n} needs")
         packed += b
     return _unpack_spins(np.frombuffer(packed, np.uint8).reshape(len(fields), row_bytes), n)

@@ -476,6 +476,7 @@ class TestDeterminism:
             ({"n": 12}, "", "batches must be nonempty"),
             ({"n": 12}, "0,94\n1,ff\n", "x_bits_hex '94' is not 2 bytes, as n = 12 needs"),
             ({"n": 12}, "0,94a0b1\n", "x_bits_hex '94a0b1' is not 2 bytes, as n = 12 needs"),
+            ({"n": 20}, "0, 94 a0\n", "x_bits_hex ' 94 a0' is not 3 bytes, as n = 20 needs"),
             ({"n": 6}, "0,fc\n1\n", "row 2 has 1 fields, the header 2"),
             ({"kind": "exact"}, "0,fc\n", "n must be an integer >= 1, not None"),
             ({"n": "6"}, "0,fc\n", "n must be an integer >= 1, not '6'"),
@@ -485,8 +486,8 @@ class TestDeterminism:
             ([6], "0,fc\n", "n must be an integer >= 1, not None"),
             ({"n": 6}, "0,fc\n1,ff\n", "sets a padding bit past n = 6"),
         ],
-        ids=["empty", "short-rows", "long-row", "missing-field", "no-n", "n-str", "n-float",
-             "n-bool", "n-zero", "echo-not-object", "padding-bit"],
+        ids=["empty", "short-rows", "long-row", "spaced-bytes", "missing-field",
+             "no-n", "n-str", "n-float", "n-bool", "n-zero", "echo-not-object", "padding-bit"],
     )
     def test_w2_bad_batch_csv_reported(self, tmp_path, capsys, echo, rows, match):
         # a hand-edited `exact` output: n and the rows are checked before decoding

@@ -1,9 +1,11 @@
 import importlib.util
 import os
+import sys
 
 from glasslocal.cli import _HANDLERS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "tools"))  # as when the tool runs as a script
 _spec = importlib.util.spec_from_file_location(
     "cli_outputs", os.path.join(ROOT, "tools", "cli_outputs.py")
 )

@@ -19,16 +19,14 @@ file is identical and 1 otherwise.
 from __future__ import annotations
 
 import argparse
-import io
 import itertools
 import os
 import subprocess
 import sys
-import tarfile
 import tempfile
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SIDES = ("parent", "change")
+from bench_pairs import SIDES, export  # tools/ is the script's directory
+
 # (label, argv without --out); w2 reads the batch `exact` writes, so it runs after it
 INVOCATIONS = [
     ("gen-disorder", ["gen-disorder", "--n", "4", "--seed", "3"]),
@@ -64,18 +62,6 @@ INVOCATIONS = [
 ]
 # runs the CLI's entry point, as the `glasslocal` script does
 MAIN = "import sys; from glasslocal.cli import main; sys.exit(main(sys.argv[1:]))"
-
-
-def _git(*args: str) -> bytes:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
-
-
-def export(rev: str, dest: str) -> str:
-    """Write the tree of `rev` into `dest`; return the full sha."""
-    sha = _git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
-    with tarfile.open(fileobj=io.BytesIO(_git("archive", "--format=tar", sha))) as tar:
-        tar.extractall(dest, filter="data")
-    return sha
 
 
 def run_all(tree: str, outdir: str, invocations=INVOCATIONS) -> None:
