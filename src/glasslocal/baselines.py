@@ -35,6 +35,8 @@ __all__ = [
     "read_batch_bits",
 ]
 
+#: `empirical_w2` takes at most this many samples per batch; the batch
+#: readers check it before they decode.
 W2_BATCH_CAP = 2000
 
 
@@ -192,8 +194,7 @@ def empirical_w2(a: SampleBatch, b: SampleBatch) -> float:
         raise ValueError("batches must have equal size")
     _check_pair(a, b)
     N, n = a.spins.shape
-    if N > W2_BATCH_CAP:
-        raise ValueError(f"batch size {N} exceeds the cap {W2_BATCH_CAP}")
+    _check_batch_size(N)
     D = (n - a.spins @ b.spins.T) / 2  # Hamming distances, exact in float64
     total = int(D[np.arange(N), _assign(D)].sum())
     return math.sqrt(4 * total / (n * N))
@@ -275,9 +276,17 @@ def _pack_spins(spins: np.ndarray) -> np.ndarray:
     return np.packbits(((np.asarray(spins) + 1) / 2).astype(np.uint8), axis=-1)
 
 
+def _check_batch_size(N: int) -> None:
+    if N > W2_BATCH_CAP:
+        raise ValueError(f"batch size {N} exceeds the cap {W2_BATCH_CAP}")
+
+
 def _unpack_spins(rows: np.ndarray, n: int) -> np.ndarray:
     """Rows of ceil(n/8) bytes -> (rows, n) +-1 spins.  A set padding bit
-    means the row was written for a larger n, so it is an error."""
+    means the row was written for a larger n, so it is an error.  A file
+    batch is read to be compared by `empirical_w2`, so more rows than
+    W2_BATCH_CAP are rejected before the (rows, n) decode."""
+    _check_batch_size(len(rows))
     bits = np.unpackbits(rows, axis=1)
     if bits[:, n:].any():
         raise ValueError(f"a row sets a padding bit past n = {n}: it was written for a larger n")

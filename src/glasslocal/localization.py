@@ -103,13 +103,14 @@ def _estimate(
     """Two-stage mean of the tilted measure: message passing, then NGD.
 
     AMP starts from zero and the natural-parameter handoff is u^0 = z^{k_amp}
-    directly.  NGD runs at most k_ngd steps per row and stops a row at
-    `NGD_TOL`.  Returns the final NGD iterate, whose `m` is the estimate and
-    whose `grad_norm` is ||grad F(m)||.
+    directly.  NGD runs at most k_ngd steps per row with Barzilai-Borwein
+    steps (eta is each row's first step) and stops a row at `NGD_TOL`.
+    Returns the final NGD iterate, whose `m` is the estimate and whose
+    `grad_norm` is ||grad F(m)||.
     """
     final = amp_run(g, y, beta, k_amp, keep_history=False)[-1]
     params = TapParams(beta=beta, q=q, gamma_reg=gamma, y=np.asarray(y, dtype=float))
-    return ngd_run(g, final.z, params, eta, k_ngd, keep_history=False, tol=NGD_TOL)[-1]
+    return ngd_run(g, final.z, params, eta, k_ngd, keep_history=False, tol=NGD_TOL, bb=True)[-1]
 
 
 def mean_estimate(

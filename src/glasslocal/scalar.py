@@ -32,6 +32,11 @@ __all__ = [
 #: quadrature to avoid catastrophic cancellation and keep psi monotone.
 LARGE_GAMMA = 200.0
 
+#: Below this gamma, psi is its series gamma - gamma^2 + (5/3) gamma^3 (next
+#: term -(13/3) gamma^4): the quadrature's odd part cancels only to about
+#: 1e-16 sqrt(gamma), which swamps psi ~ gamma below gamma ~ 1e-32.
+SMALL_GAMMA = 1e-6
+
 _LOG2 = math.log(2.0)
 
 
@@ -73,18 +78,24 @@ def _flat_nonneg(gamma):
 def psi(gamma):
     """E[tanh(gamma + sqrt(gamma) Z)], increasing and concave, in [0, 1).
 
-    Accepts scalars or arrays.
+    Quadrature, with a series below SMALL_GAMMA and the asymptotic tail
+    above LARGE_GAMMA.  Accepts scalars or arrays.
     """
     g, shape = _flat_nonneg(gamma)
     out = np.empty_like(g)
-    small = g <= LARGE_GAMMA
-    if np.any(small):
-        gs = g[small]
+    tiny = g < SMALL_GAMMA
+    large = g > LARGE_GAMMA
+    mid = ~tiny & ~large
+    if np.any(tiny):
+        gt = g[tiny]
+        out[tiny] = gt * (1.0 - gt * (1.0 - (5.0 / 3.0) * gt))
+    if np.any(mid):
+        gs = g[mid]
         v = gs[:, None] + np.sqrt(gs)[:, None] * DEFAULT_RULE.nodes
-        out[small] = np.tanh(v) @ DEFAULT_RULE.weights
-    if np.any(~small):
-        gl = g[~small]
-        out[~small] = 1.0 - np.sqrt(np.pi / (2.0 * gl)) * np.exp(-gl / 2.0)
+        out[mid] = np.tanh(v) @ DEFAULT_RULE.weights
+    if np.any(large):
+        gl = g[large]
+        out[large] = 1.0 - np.sqrt(np.pi / (2.0 * gl)) * np.exp(-gl / 2.0)
     return out.reshape(shape)[()]
 
 

@@ -11,7 +11,8 @@ ons(Q) = (beta^2/2)(xi(1) - xi(Q) - (1-Q) xi'(Q)) and ons' = -b/2, b the AMP
 memory coefficient (`mixture` holds both; NGD evaluates them once per run).
 NGD performs plain gradient steps in the natural parameter u = atanh(m), which
 is mirror descent under the binary-entropy Bregman divergence.  F is evaluated
-at u itself, so m = tanh(u) may round to +-1 (where h(+-1) = 0).
+at u itself, so m = tanh(u) may round to +-1 (where h(+-1) = 0).  Its step is
+a fixed eta, or per row the Barzilai-Borwein step that the sampler uses.
 """
 
 from __future__ import annotations
@@ -191,9 +192,17 @@ def ngd_run(
     K: int,
     keep_history: bool = True,
     tol: float = 0.0,
+    *,
+    bb: bool = False,
 ) -> list[TapIterate]:
     """Natural gradient descent u <- u - eta grad F(tanh(u)): at most K steps;
     a row stops at tol.
+
+    With `bb`, a row's next step is the Barzilai-Borwein (BB2, 1988) step
+    s.r / r.r, or eta where s.r <= 0, with s = u_new - u_old and
+    r = grad F_new - grad F_old of its last accepted step; eta is the first
+    step, so that step is bitwise the fixed one.  Without `bb`, every step
+    starts at eta.
 
     Before each step, a row whose ||grad F|| / sqrt(n) <= tol is frozen for the
     rest of the run: it takes a zero step, so its u, m, value and gradient keep
@@ -202,19 +211,20 @@ def ngd_run(
     steps.  tol = 0 turns the stop off: every run takes K steps.
 
     If a step increases F, its learning rate is halved and the step retried
-    (at most MAX_HALVINGS times, per batch row); the next step resumes at
-    the nominal eta.  Iterates are therefore nonincreasing in F up to the
-    floating-point resolution of the value (1e-12 relative: a converged
-    iterate's value jitters by an ulp, which must not trip the safeguard);
-    an increase beyond that after all halvings raises.  `u0` may be a vector
-    or a batch (M, n); rows evolve independently, so results do not depend
-    on how a batch is split.  Each trial is one value-and-gradient call whose
+    (at most MAX_HALVINGS times, per batch row); the next step starts anew.
+    Iterates are therefore nonincreasing in F up to the floating-point
+    resolution of the value (1e-12 relative: a converged iterate's value
+    jitters by an ulp, which must not trip the safeguard); an increase
+    beyond that after all halvings raises.  `u0` may be a vector or a batch
+    (M, n); rows evolve independently, so results do not depend on how a
+    batch is split.  Each trial is one value-and-gradient call whose
     gradient, once accepted, drives the next step and `grad_norm`.
 
     The run allocates its (rows, n) arrays once: u, m and the gradient of the
     accepted state and of the trial, which swap when a trial is accepted, and
     one `_ftap` scratch that serves both, so a trial allocates nothing of
-    size n.  `u0` is never written, and each returned iterate owns its arrays.
+    size n; s and r take the old state's u and gradient arrays.  `u0` is
+    never written, and each returned iterate owns its arrays.
     """
     if not 0.0 < eta < np.inf:
         raise ValueError("eta must be positive and finite")
@@ -239,6 +249,7 @@ def ngd_run(
 
     states: list[TapIterate] = []
     frozen = np.zeros(f.shape, dtype=bool)
+    eta_next = None  # the rows' BB steps, after the first step of a `bb` run
     for k in range(K):
         if not np.all(np.isfinite(gvec)):
             raise FloatingPointError(f"NGD gradient non-finite at step k={k}")
@@ -247,7 +258,7 @@ def ngd_run(
             if frozen.all():
                 break
         held = np.flatnonzero(frozen)  # indices: with no row frozen, nothing is copied
-        eta_row = np.full(f.shape, eta)
+        eta_row = np.full(f.shape, eta) if eta_next is None else eta_next
         noise_tol = 1e-12 * (1.0 + np.abs(f))
         for attempt in range(MAX_HALVINGS + 1):
             np.subtract(U, np.multiply(eta_row[:, None], gvec, out=U_try), out=U_try)
@@ -269,6 +280,11 @@ def ngd_run(
         U, M, f, gvec, U_try, M_try, g_try = U_try, M_try, f_try, g_try, U, M, gvec
         if not np.all(np.isfinite(U)):
             raise FloatingPointError(f"NGD produced a non-finite iterate at step k={k}")
+        if bb:  # s and r overwrite the old state's u and gradient
+            s = np.subtract(U, U_try, out=U_try)
+            r = np.subtract(gvec, g_try, out=g_try)
+            sr, rr = np.einsum("ij,ij->i", s, r), np.einsum("ij,ij->i", r, r)
+            eta_next = np.divide(sr, rr, out=np.full(f.shape, eta), where=sr > 0.0)
         if keep_history:  # the arrays are reused, so a stored state gets copies
             states.append(_mk_state(U.copy(), M.copy(), f, gvec))
     if not keep_history or not states:

@@ -340,6 +340,26 @@ class TestBatchBits:
         assert rows.tolist() == [[0b11111100]] * 2
         np.testing.assert_array_equal(_unpack_spins(rows, 6), np.ones((2, 6)))
 
+    def test_oversized_rejected_before_decoding(self, tmp_path):
+        # 3000 rows at n = 1000 are 375 KB on disk and 24 MB as float spins;
+        # the cap is checked first, so the read peaks near the file's size
+        import tracemalloc
+
+        from glasslocal import read_batch_bits
+        from glasslocal.baselines import W2_BATCH_CAP
+
+        M, n = W2_BATCH_CAP + 1000, 1000
+        path = tmp_path / "big.bits"
+        path.write_bytes(n.to_bytes(4, "little") + bytes(M * n // 8))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"batch size {M} exceeds the cap {W2_BATCH_CAP}"):
+                read_batch_bits(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * M * n // 8
+
     def test_corrupt_rejected(self, tmp_path):
         from glasslocal import read_batch_bits
 

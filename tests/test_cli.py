@@ -224,6 +224,14 @@ class TestSubcommands:
         g = read_tensors(out)
         assert g.n == 4 and g.seed == 9
 
+    def test_amp_at_tiny_t(self, tmp_path):
+        # t = 1e-140 reaches psi at gamma of that order, which must stay >= 0
+        out = tmp_path / "amp.csv"
+        code = run_cli("amp", "--n", "5", "--set", "amp.t=1e-140", "--out", str(out))
+        assert code == 0
+        rows = [r.split(",") for r in out.read_text().strip().split("\n")[1:]]
+        assert rows and all(0.0 <= float(r[3]) <= 1.0 for r in rows)  # mse_predicted
+
     def test_amp_csv(self, tmp_path):
         out = tmp_path / "amp.csv"
         code = run_cli(
@@ -502,6 +510,33 @@ class TestDeterminism:
         err = capsys.readouterr().err
         assert err.startswith("error [ValueError]") and match in err
         assert not out.exists()
+
+    def test_w2_oversized_batch_csv_rejected_before_decoding(self, tmp_path, capsys):
+        # the cap is checked before the rows become a (rows, n) float array
+        import tracemalloc
+
+        from glasslocal.baselines import W2_BATCH_CAP
+
+        M, n = W2_BATCH_CAP + 1000, 1000
+        text = "sample,x_bits_hex\n" + "".join(f"{i},{'00' * (n // 8)}\n" for i in range(M))
+        (tmp_path / "e.csv").write_text(text)
+        (tmp_path / "e.csv.config.json").write_text(json.dumps({"n": n}))
+        out = tmp_path / "w2.csv"
+        tracemalloc.start()
+        try:
+            code = run_cli(
+                "w2", "--set", f'w2.batch_a="{tmp_path / "e.csv"}"',
+                "--set", f'w2.batch_b="{tmp_path / "e.csv"}"', "--out", str(out),
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [ValueError]")
+        assert f"batch size {M} exceeds the cap {W2_BATCH_CAP}" in err
+        assert not out.exists()
+        assert peak < 8 * len(text)  # the decoded spins alone take 8 M n = 24 MB
 
     def test_seventeen_digit_floats(self, tmp_path):
         out = tmp_path / "se.csv"

@@ -203,10 +203,10 @@ class TestSampler:
         # NGD's gradient uses u where ftap_grad uses atanh(tanh(u))
         n = 6
         g = gen_random(sk, n, seed=8)
-        # eta = 0.1 keeps every row above NGD_TOL for all 20 steps, so the
-        # norm is large against the recomputation's rounding
+        # k_ngd = 3 keeps every row above NGD_TOL, so the norm is large
+        # against the recomputation's rounding
         p = SamplerParams(
-            beta=0.3, delta=0.25, L=5, k_amp=5, k_ngd=20, eta=0.1, seed=1, keep_trajectory=True
+            beta=0.3, delta=0.25, L=5, k_amp=5, k_ngd=3, eta=0.1, seed=1, keep_trajectory=True
         )
         run = sample(g, p, n_replicas=n_replicas)
         gn = np.atleast_1d(run.grad_norm_last)
@@ -259,6 +259,9 @@ class TestZeroTiltStep:
     `sample` skips the l = 0 estimate; a `mean_fn` still runs there."""
 
     KNOBS = dict(k_amp=5, k_ngd=10, eta=0.1, gamma=1.0)
+    # total kernel calls of `test_kernel_calls_hand_count`, with the knobs and
+    # at the defaults (a fixed step of 0.6 takes 84 at the defaults)
+    HAND_COUNTS = {((2, 0.5),): [48, 49], MIXED_ODD: [49, 52]}
 
     @pytest.mark.parametrize("coeffs", [((2, 0.5),), MIXED_ODD], ids=["sk", "p234"])
     @pytest.mark.parametrize("rows", [1, 3])
@@ -292,12 +295,12 @@ class TestZeroTiltStep:
 
     @pytest.mark.parametrize("coeffs", [((2, 0.5),), MIXED_ODD], ids=["sk", "p234"])
     def test_kernel_calls_hand_count(self, coeffs, monkeypatch, caplog):
-        # each estimated step makes k_amp AMP gradients, then 1 + trials NGD
-        # value-and-gradient calls: k_ngd trials with the knobs, whose rows
-        # stay above NGD_TOL, and fewer at the defaults, where every row
-        # freezes early; no halvings, and l = 0 makes no call
+        # each estimated step makes k_amp AMP gradients, then 1 + steps +
+        # halvings NGD value-and-gradient calls: k_ngd steps with the knobs,
+        # whose rows stay above NGD_TOL, and fewer at the defaults, where every
+        # row freezes early; l = 0 makes no call
         g = gen_random(MixtureSpec(coeffs), 6, seed=3)
-        calls = []
+        calls, halved = [], []
 
         def counted(layer, kernel):
             def call(*args):
@@ -307,23 +310,65 @@ class TestZeroTiltStep:
 
             return call
 
+        class Halvings(logging.Handler):
+            def emit(self, record):
+                if "halved eta" in record.getMessage():
+                    halved.append(len(calls))  # the retry is the next call
+
         monkeypatch.setattr(disorder, "_kernel", counted("amp", disorder._kernel))
         monkeypatch.setattr(tap, "_kernel", counted("ngd", tap._kernel))
         caplog.set_level(logging.DEBUG, logger="glasslocal.tap")
-        for knobs in (self.KNOBS, {}):
-            p = SamplerParams(beta=0.3, delta=0.25, L=3, seed=7, **knobs)
-            calls.clear()
-            sample(g, p, n_replicas=2)
-            runs = [(k, len(list(grp))) for k, grp in itertools.groupby(calls)]
-            assert [k for k, _ in runs] == ["amp", "ngd"] * p.L
-            assert all(count == p.k_amp for k, count in runs if k == "amp")
-            trials = [count - 1 for k, count in runs if k == "ngd"]
-            if knobs:
-                assert trials == [p.k_ngd] * p.L
-            else:
-                assert all(1 <= t < p.k_ngd for t in trials)
-            assert len(calls) == sum(p.k_amp + 1 + t for t in trials)
-        assert not [r for r in caplog.records if "halved eta" in r.getMessage()]
+        handler, logger = Halvings(), logging.getLogger("glasslocal.tap")
+        logger.addHandler(handler)
+        totals = []
+        try:
+            for knobs in (self.KNOBS, {}):
+                p = SamplerParams(beta=0.3, delta=0.25, L=3, seed=7, **knobs)
+                calls.clear(), halved.clear()
+                sample(g, p, n_replicas=2)
+                runs = [(k, len(list(grp))) for k, grp in itertools.groupby(calls)]
+                assert [k for k, _ in runs] == ["amp", "ngd"] * p.L
+                assert all(count == p.k_amp for k, count in runs if k == "amp")
+                steps, end = [], 0
+                for k, count in runs:
+                    start, end = end, end + count
+                    if k == "ngd":
+                        steps.append(count - 1 - sum(start < h < end for h in halved))
+                if knobs:
+                    assert steps == [p.k_ngd] * p.L
+                else:
+                    assert all(1 <= t < p.k_ngd for t in steps)
+                assert len(calls) == sum(p.k_amp + 1 + t for t in steps) + len(halved)
+                totals.append(len(calls))
+        finally:
+            logger.removeHandler(handler)
+        assert totals == self.HAND_COUNTS[coeffs]
+
+
+class TestNgdNearBeta1:
+    """SK at beta = 0.8: the fixed step left 86 of 160 step-rows above
+    NGD_TOL with the whole k_ngd budget spent (1,051 kernel calls); the BB
+    step reaches NGD_TOL on every row in 765 calls."""
+
+    CALL_BOUND = 950
+
+    def test_every_row_reaches_tol_within_the_call_bound(self, sk, monkeypatch):
+        g = gen_random(sk, 300, seed=0)
+        p = SamplerParams(beta=0.8, L=10, seed=0)
+        calls = []
+
+        def counted(kernel):
+            def call(*args):
+                calls.append(1)
+                return kernel(*args)
+
+            return call
+
+        monkeypatch.setattr(disorder, "_kernel", counted(disorder._kernel))
+        monkeypatch.setattr(tap, "_kernel", counted(tap._kernel))
+        run = sample(g, p, n_replicas=16)  # safeguard exhaustion would raise
+        assert np.all(run.step_grad_norms[1:] / np.sqrt(g.n) <= localization.NGD_TOL)
+        assert len(calls) <= self.CALL_BOUND
 
 
 class TestPinnedCoordinates:
@@ -344,7 +389,7 @@ class TestPinnedCoordinates:
         u0 = amp_run(g, Y, p.beta, p.k_amp)[-1].z
         assert np.any(np.abs(u0) > 19.1)
         tp = TapParams(beta=p.beta, q=float(run.q_used[p.L]), gamma_reg=p.gamma, y=Y)
-        traj = tap.ngd_run(g, u0, tp, p.eta, p.k_ngd, tol=localization.NGD_TOL)
+        traj = tap.ngd_run(g, u0, tp, p.eta, p.k_ngd, tol=localization.NGD_TOL, bb=True)
         np.testing.assert_array_equal(traj[-1].m, run.mean_final, strict=True)
         for it in traj:
             pinned = np.abs(it.u) > 19.1

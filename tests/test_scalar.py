@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from glasslocal import mutual_info_scalar, phi, phi_prime, psi, psi_prime
+from glasslocal import scalar
 from glasslocal.scalar import DEFAULT_RULE, QuadratureRule
 
 
@@ -58,6 +59,24 @@ class TestPsi:
                 limit=300,
             )[0]
             assert psi(g) == pytest.approx(ref, abs=2e-9)
+
+    @pytest.mark.parametrize("g", [1e-300, 1e-140, 1e-100, 1e-20])
+    def test_tiny_gamma(self, g):
+        # psi(g) = g - g^2 + O(g^3); the quadrature's odd part cancels to
+        # about 1e-16 sqrt(g), which made psi(1e-140) negative
+        assert psi(g) == pytest.approx(g, rel=1e-15)
+        assert psi(np.array([g, 2 * g]))[0] == psi(g)
+
+    def test_series_meets_quadrature(self):
+        # the series below SMALL_GAMMA agrees with the quadrature above it
+        # and keeps psi increasing across the switch
+        g0 = scalar.SMALL_GAMMA
+        gs = g0 * np.array([0.5, 1 - 1e-6, 1.0, 1 + 1e-6, 2.0])
+        vals = psi(gs)
+        assert np.all(np.diff(vals) > 0)
+        assert vals[1] == pytest.approx(vals[2], rel=2e-6)
+        series = lambda g: g - g * g + 5.0 / 3.0 * g**3
+        assert psi(g0) == pytest.approx(series(g0), rel=1e-13)
 
     def test_monotone_concave(self):
         gs = np.linspace(0.0, 40.0, 400)

@@ -18,7 +18,8 @@ from glasslocal import (
     ons_prime,
     relative_hessian_extremes,
 )
-from glasslocal import tap
+from glasslocal import disorder, tap
+from glasslocal.disorder import hessian
 from glasslocal.tap import TapParams
 from glasslocal import rng
 
@@ -528,7 +529,99 @@ class TestNgdStop:
             ngd_run(g, np.zeros(4), params, eta=0.1, K=2, tol=tol)
 
 
-def _fresh_array_ngd(g, U, params, eta, K, keep_history):
+class TestNgdBB:
+    """`ngd_run(..., bb=True)`: each row's next trial is s.r / r.r after an
+    accepted step (s the step in u, r the change of grad F), or eta where
+    s.r <= 0."""
+
+    TOL = 1e-8
+
+    def _setup(self, coeffs={"2": 0.5}, n=10, seed=19, beta=0.4):
+        g = gen_random(MixtureSpec.from_dict(coeffs), n, seed=seed)
+        y = rng.stream(seed, "ngd-y").standard_normal(n)
+        return g, TapParams(beta=beta, q=0.2, gamma_reg=1.0, y=y)
+
+    @pytest.mark.parametrize("eta", [0.05, 4.0], ids=["small-eta", "halving-eta"])
+    def test_first_step_is_the_fixed_step(self, eta):
+        g, params = self._setup()
+        u0 = 0.5 * rng.stream(19, "ngd-u0").standard_normal((3, g.n))
+        fixed = ngd_run(g, u0, params, eta=eta, K=1)[-1]
+        bb = ngd_run(g, u0, params, eta=eta, K=1, bb=True)[-1]
+        for name in ("u", "m", "ftap", "grad_norm"):
+            np.testing.assert_array_equal(getattr(bb, name), getattr(fixed, name), strict=True)
+        later = ngd_run(g, u0, params, eta=eta, K=2, bb=True)[-1]
+        assert not np.array_equal(later.u, ngd_run(g, u0, params, eta=eta, K=2)[-1].u)
+
+    def test_nonpositive_curvature_takes_eta(self):
+        # at beta = 3 with q near 1 the functional is concave along the top
+        # eigenvector v of hess H: row 0 starts on v, so its first step has
+        # s.r < 0 and its second step is eta, bit for bit the fixed run's;
+        # row 1 sees s.r > 0 and moves by its BB step
+        g, params = self._setup(beta=3.0)
+        params = TapParams(beta=3.0, q=0.99, gamma_reg=0.0, y=np.zeros(g.n))
+        v = np.linalg.eigh(hessian(g, np.zeros(g.n)))[1][:, -1]
+        u0 = np.stack([1e-3 * v, 0.5 * rng.stream(19, "ngd-u0").standard_normal(g.n)])
+        eta = 0.05
+        first = ngd_run(g, u0, params, eta=eta, K=1)[-1]
+        r = ftap_grad(g, first.m, params) - ftap_grad(g, np.tanh(u0), params)
+        sr = np.einsum("ij,ij->i", first.u - u0, r)
+        assert sr[0] < 0.0 < sr[1]
+        fixed = ngd_run(g, u0, params, eta=eta, K=2)[-1]
+        bb = ngd_run(g, u0, params, eta=eta, K=2, bb=True)[-1]
+        np.testing.assert_array_equal(bb.u[0], fixed.u[0], strict=True)
+        assert not np.array_equal(bb.u[1], fixed.u[1])
+
+    def test_frozen_row_keeps_its_bits(self):
+        g, params = self._setup()
+        u_star = ngd_run(g, np.zeros(g.n), params, eta=0.3, K=400, keep_history=False)[-1]
+        assert u_star.grad_norm / np.sqrt(g.n) <= 1e-11
+        u0 = np.stack([u_star.u, np.zeros(g.n)])
+        traj = ngd_run(g, u0, params, eta=0.6, K=50, tol=self.TOL, bb=True)
+        assert len(traj) > 1
+        for it in traj:
+            np.testing.assert_array_equal(it.u[0], u_star.u, strict=True)
+            np.testing.assert_array_equal(it.m[0], u_star.m, strict=True)
+        assert traj[-1].grad_norm[1] / np.sqrt(g.n) <= self.TOL
+
+    def test_rows_independent_of_batch(self):
+        # at n = 40 with a degree-4 term the kernel's block is 8 rows: halves
+        # cut at the block keep the batch's bits, and a row run alone (a
+        # one-row block) agrees to rounding
+        g, params = self._setup({"2": 0.5, "3": 0.7, "4": 0.2}, n=40, beta=0.25)
+        assert disorder._block_rows(g) == 8
+        y = rng.stream(19, "ngd-y-rows").standard_normal((16, g.n))
+        u0 = 0.5 * rng.stream(19, "ngd-u0").standard_normal((16, g.n))
+
+        def run(rows):
+            p = TapParams(beta=params.beta, q=params.q, gamma_reg=params.gamma_reg, y=y[rows])
+            return ngd_run(g, u0[rows], p, eta=0.6, K=100, keep_history=False, tol=self.TOL,
+                           bb=True)[-1]
+
+        batch = run(slice(0, 16))
+        assert np.all(batch.grad_norm / np.sqrt(g.n) <= self.TOL)
+        halves = [run(slice(0, 8)), run(slice(8, 16))]
+        for name in ("u", "m", "ftap", "grad_norm"):
+            got = np.concatenate([getattr(h, name) for h in halves])
+            np.testing.assert_array_equal(got, getattr(batch, name), strict=True)
+        for r in (0, 11):
+            alone = run(slice(r, r + 1))
+            np.testing.assert_allclose(alone.m[0], batch.m[r], rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("eta", [0.05, 4.0], ids=["small-eta", "halving-eta"])
+    def test_matches_reference_loop(self, eta):
+        # the products s.r and r.r reuse the freed state arrays; a loop with
+        # fresh arrays and the rule written row by row gives the same bits
+        g, params = self._setup({"2": 0.5, "3": 0.7, "4": 0.2}, n=9, beta=0.4)
+        u0 = 0.5 * rng.stream(16, "ngd-u0").standard_normal((4, g.n))
+        states = ngd_run(g, u0, params, eta=eta, K=8, bb=True)
+        want, halvings = _fresh_array_ngd(g, u0, params, eta, 8, True, bb=True)
+        assert halvings > 0  # a BB trial overshoots at times, so both cover the safeguard
+        for got, (u, m, f, gn) in zip(states, want, strict=True):
+            for a, b in ((got.u, u), (got.m, m), (got.ftap, f), (got.grad_norm, gn)):
+                np.testing.assert_array_equal(a, b, strict=True)
+
+
+def _fresh_array_ngd(g, U, params, eta, K, keep_history, bb=False):
     """Reference NGD loop with fresh arrays in every trial: `_ftap` without a
     workspace.  Returns the (u, m, ftap, grad_norm) of each kept iterate and
     the number of row halvings."""
@@ -536,8 +629,9 @@ def _fresh_array_ngd(g, U, params, eta, K, keep_history):
     M = np.tanh(U)
     f, gvec = tap._ftap(g, U, M, params, *terms)
     states, halvings = [], 0
+    eta_next = np.full(f.shape, eta)
     for _ in range(K):
-        eta_row = np.full(f.shape, eta)
+        eta_row = eta_next.copy()
         noise_tol = 1e-12 * (1.0 + np.abs(f))
         for attempt in range(tap.MAX_HALVINGS + 1):
             U_try = U - eta_row[:, None] * gvec
@@ -549,6 +643,10 @@ def _fresh_array_ngd(g, U, params, eta, K, keep_history):
             assert attempt < tap.MAX_HALVINGS
             eta_row[bad] *= 0.5
             halvings += int(bad.sum())
+        if bb:
+            sr = np.einsum("ij,ij->i", U_try - U, g_try - gvec)
+            rr = np.einsum("ij,ij->i", g_try - gvec, g_try - gvec)
+            eta_next = np.array([a / b if a > 0.0 else eta for a, b in zip(sr, rr)])
         U, M, f, gvec = U_try, M_try, f_try, g_try
         if keep_history:
             states.append((U, M, f, np.linalg.norm(gvec, axis=-1)))
