@@ -324,7 +324,8 @@ class TestZeroTiltStep:
         try:
             for knobs in (self.KNOBS, {}):
                 p = SamplerParams(beta=0.3, delta=0.25, L=3, seed=7, **knobs)
-                calls.clear(), halved.clear()
+                calls.clear()
+                halved.clear()
                 sample(g, p, n_replicas=2)
                 runs = [(k, len(list(grp))) for k, grp in itertools.groupby(calls)]
                 assert [k for k, _ in runs] == ["amp", "ngd"] * p.L

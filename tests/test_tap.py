@@ -557,7 +557,7 @@ class TestNgdBB:
         # eigenvector v of hess H: row 0 starts on v, so its first step has
         # s.r < 0 and its second step is eta, bit for bit the fixed run's;
         # row 1 sees s.r > 0 and moves by its BB step
-        g, params = self._setup(beta=3.0)
+        g, _ = self._setup()
         params = TapParams(beta=3.0, q=0.99, gamma_reg=0.0, y=np.zeros(g.n))
         v = np.linalg.eigh(hessian(g, np.zeros(g.n)))[1][:, -1]
         u0 = np.stack([1e-3 * v, 0.5 * rng.stream(19, "ngd-u0").standard_normal(g.n)])
