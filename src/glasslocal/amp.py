@@ -8,7 +8,10 @@ The iteration
 
 started from m^{-1} = z^0 = 0, is the first stage of the mean estimator.
 States are labeled by the z they carry: state k holds z^k (k = 1..K), so a
-single-iteration run exposes z^1 = y exactly.
+single-iteration run exposes z^1 = y exactly.  Every degree is p >= 2, so
+grad H(m^0) = grad H(0) = 0 and z^1 = y - b_0 m^{-1} is formed without a
+gradient call: K iterations make K - 1 of them.  The b_0 m^{-1} term is
+kept, so an overflowed b_0 still gives a non-finite z^1.
 """
 
 from __future__ import annotations
@@ -67,7 +70,8 @@ def amp_run(
     b = onsager(g.spec, beta, np.mean(m**2, axis=-1))
     states: list[AmpState] = []
     for k in range(1, K + 1):
-        z = beta * grad(g, m) + Y - b[:, None] * m_prev
+        # grad H(m^0) = grad H(0) = 0, since every degree is >= 2
+        z = (beta * grad(g, m) + Y if k > 1 else Y) - b[:, None] * m_prev
         if not np.all(np.isfinite(z)):
             raise FloatingPointError(f"AMP produced a non-finite iterate at k={k}")
         n_clamped = int(np.sum(np.abs(z) > Z_CLAMP))

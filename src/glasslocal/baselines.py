@@ -15,10 +15,9 @@ import numpy as np
 from . import rng
 from .disorder import (
     DisorderTensors,
+    _flip_field,
     _logsumexp,
-    _packed,
     all_spins,
-    hamiltonian,
     hamiltonian_table,
 )
 
@@ -125,11 +124,13 @@ def glauber_run(
     """Single-site heat-bath chain, one sweep = n random-site updates.
 
     The conditional is exact: P(x_i = +1 | rest) = 1/(1 + exp(-beta Delta))
-    with Delta = H(x^{i->+}) - H(x^{i->-}).  For a quadratic mixture Delta is
-    maintained incrementally through the local field; higher degrees pay one
-    two-row Hamiltonian call (both flips) per update.  States are recorded
-    after `burn_in` sweeps, every `thin` sweeps, so `burn_in` must be below
-    `sweeps` and `thin` at least 1.
+    with Delta = H(x^{i->+}) - H(x^{i->-}) = 2 d_i, d = phi @ F the flip
+    field of `disorder._flip_field`, built once at x0.  Every mixture takes
+    the same update: a flip of x_j negates the monomials phi[R_j], so
+    d -= 2 phi[R_j] @ F[R_j] and phi[R_j] = -phi[R_j], with F[R_j] gathered
+    once per site; no Hamiltonian is evaluated after the start.  States are
+    recorded after `burn_in` sweeps, every `thin` sweeps, so `burn_in` must
+    be below `sweeps` and `thin` at least 1.
     """
     x = np.asarray(x0, dtype=float).copy()
     n = g.n
@@ -142,30 +143,24 @@ def glauber_run(
     if not np.isfinite(beta):
         raise ValueError("beta must be finite")
     gen = rng.stream(seed, "glauber")
-    quadratic_only = g.active_degrees() == [2]
-    if quadratic_only:
-        S = g.spec.c(2) / math.sqrt(n) * _packed(g)[1][2]  # C_2 = G2 + G2^T
-        field = S @ x
+    phi, d, F, rows = _flip_field(g, x)
+    # 2 F[R_j] for each site j, gathered in one pass
+    flips = np.split(2.0 * F[np.concatenate(rows)], np.cumsum([len(r) for r in rows[:-1]]))
     out = []
     for sweep in range(sweeps):
-        sites = gen.integers(0, n, size=n)
-        us = gen.uniform(size=n)
+        sites = gen.integers(0, n, size=n).tolist()
+        us = gen.uniform(size=n).tolist()
         for i, u in zip(sites, us):
-            if quadratic_only:
-                delta = 2.0 * (field[i] - S[i, i] * x[i])
-            else:
-                flips = np.stack([x, x])
-                flips[:, i] = (1.0, -1.0)
-                hp, hm = hamiltonian(g, flips)
-                delta = hp - hm
             try:
-                p_up = 1.0 / (1.0 + math.exp(-beta * delta))
-            except OverflowError:  # -beta delta past about 709: p_up underflows to 0
+                p_up = 1.0 / (1.0 + math.exp(-2.0 * beta * d[i]))
+            except OverflowError:  # -beta Delta past about 709: p_up underflows to 0
                 p_up = 0.0
             new = 1.0 if u < p_up else -1.0
             if new != x[i]:
-                if quadratic_only:
-                    field += S[:, i] * (new - x[i])
+                r = rows[i]
+                sub = phi[r]
+                d -= np.dot(sub, flips[i])
+                phi[r] = -sub
                 x[i] = new
         if sweep >= burn_in and (sweep - burn_in) % thin == 0:
             out.append(x.copy())

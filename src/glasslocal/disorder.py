@@ -275,6 +275,45 @@ def _kernel(g: DisorderTensors, X: np.ndarray, work=None):
     return val, gr
 
 
+def _flip_field(g: DisorderTensors, x: np.ndarray):
+    """Glauber's flip field at a +-1 state x: (phi, d, F, rows).
+
+    phi (K,) stacks the monomials phi_{p-1}(x) of every degree, in `_packed`
+    order, and F (K, n) the matching rows F_p[gamma, i] = s_p C_p[gamma, i]
+    / (gamma_i + 1) where the multiplicity gamma_i is even and 0 where it is
+    odd, s_p = c_p n^{-(p-1)/2}.  On the cube x_k^2 = 1, so d = phi @ F is
+    (H(x^{i->+1}) - H(x^{i->-1})) / 2, and d_i does not depend on x_i.
+    rows[j] are the rows where gamma_j is odd: the monomials a flip of x_j
+    negates.  For p = 2, F_2 is s_2 C_2 with its diagonal zeroed and
+    rows[j] = [j].  Each row's multiset gamma comes from the `_level`
+    arrays, one level at a time, as its k = p-1 sorted indices, so only the
+    k entries of a row where gamma_i > 0 are rescaled.  Unchecked:
+    `glauber_run` checks x."""
+    n = g.n
+    levels, packed = _packed(g)
+    K = sum(len(C) for C in packed.values())
+    phi, F = np.empty(K), np.empty((K, n))
+    gamma, mono, k, lo = np.arange(n)[:, None], x, 1, 0
+    sites, odd_rows = [], []
+    for p, C in packed.items():
+        for prev, last in levels[k - 1 : p - 2]:
+            gamma, mono, k = np.hstack([gamma[prev], last[:, None]]), mono[prev] * x[last], k + 1
+        phi[lo : lo + len(C)] = mono
+        r = np.arange(lo, lo + len(C))[:, None].repeat(k, 1)
+        np.multiply(g.spec.c(p) / n ** ((p - 1) / 2), C, out=F[lo : lo + len(C)])
+        mult = (gamma[:, :, None] == gamma[:, None, :]).sum(2)  # gamma_i at each slot i
+        odd = mult % 2 == 1
+        F[r, gamma] = np.where(odd, 0.0, F[r, gamma] / (mult + 1))
+        odd[:, 1:] &= gamma[:, 1:] != gamma[:, :-1]  # one entry per (row, site)
+        sites.append(gamma[odd])
+        odd_rows.append(r[odd])
+        lo += len(C)
+    site, row = np.concatenate(sites), np.concatenate(odd_rows)
+    order = np.argsort(site, kind="stable")
+    rows = np.split(row[order], np.searchsorted(site[order], np.arange(1, n)))
+    return phi, phi @ F, F, rows
+
+
 def hamiltonian(g: DisorderTensors, x: np.ndarray):
     """H(x) = sum_p c_p n^{-(p-1)/2} <G^(p), x^(x)p>, one GEMM per degree.
     A vector (n,) gives a scalar and a batch (M, n) gives (M,)."""

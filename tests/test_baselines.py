@@ -18,8 +18,9 @@ from glasslocal import (
     overlap_moment,
     partition_rescaled,
 )
+from glasslocal import baselines, rng
 from glasslocal.baselines import SampleBatch, _assign
-from glasslocal.disorder import DisorderTensors, all_spins
+from glasslocal.disorder import DisorderTensors, _flip_field, all_spins, gen_planted
 
 
 class TestExactGibbs:
@@ -148,7 +149,7 @@ class TestGlauber:
         self._assert_moments_match(g, beta, batch)
 
     def test_mixed_degree_moments_match_enumeration(self):
-        # the non-quadratic branch: two-row Hamiltonian flips per update
+        # odd and even degrees on the one flip-field update
         n, beta = 6, 0.3
         g = gen_random(MixtureSpec(((2, 0.5), (3, 0.7))), n, seed=8)
         batch = glauber_run(g, beta, np.ones(n), sweeps=6000, seed=5, burn_in=500, thin=5)
@@ -158,6 +159,65 @@ class TestGlauber:
         g = gen_random(mixed, 5, seed=10)
         batch = glauber_run(g, 0.2, np.ones(5), sweeps=30, seed=11)
         assert len(batch) == 30
+
+
+FLIP_SPECS = {
+    "sk": ((2, 0.5),),
+    "p3": ((3, 1.0),),
+    "p4": ((4, 1.0),),
+    "p234": ((2, 0.5), (3, 0.7), (4, 0.2)),
+}
+
+
+def _flip_instance(name, n):
+    if name == "planted":
+        x = np.where(rng.stream(1, "x").uniform(size=n) < 0.5, -1.0, 1.0)
+        return gen_planted(MixtureSpec(FLIP_SPECS["p234"]), n, 1.0, x, seed=2)
+    return gen_random(MixtureSpec(FLIP_SPECS[name]), n, seed=2)
+
+
+class TestFlipField:
+    """`disorder._flip_field` against the Hamiltonian, and its upkeep in
+    `glauber_run`."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    @pytest.mark.parametrize("name", [*FLIP_SPECS, "planted"])
+    def test_matches_hamiltonian_difference(self, name, n, gen):
+        g = _flip_instance(name, n)
+        for _ in range(3):
+            x = np.where(gen.uniform(size=n) < 0.5, -1.0, 1.0)
+            phi, d, F, rows = _flip_field(g, x)
+            flips = np.repeat(x[None], 2 * n, axis=0)
+            flips[np.arange(2 * n), np.repeat(np.arange(n), 2)] = np.tile([1.0, -1.0], n)
+            H = hamiltonian(g, flips)
+            scale = np.abs(H).max()
+            np.testing.assert_allclose(2 * d, H[0::2] - H[1::2], rtol=1e-12, atol=1e-12 * scale)
+            for j in range(n):
+                y = x.copy()
+                y[j] = -y[j]
+                phi_j, d_j, _, _ = _flip_field(g, y)
+                assert d_j[j] == d[j]  # d_j does not read x_j
+                # R_j: exactly the monomials the flip negates (none for p = 3 at n = 1)
+                np.testing.assert_array_equal(rows[j], np.flatnonzero(phi_j != phi))
+                np.testing.assert_array_equal(phi_j[rows[j]], -phi[rows[j]])
+
+    @pytest.mark.parametrize("name", ["sk", "p234"])
+    def test_maintained_field_matches_fresh(self, name, monkeypatch):
+        # the chain's d and phi after 200 sweeps against a fresh evaluation
+        n = 12
+        g = _flip_instance(name, n)
+        kept = []
+
+        def capture(*args):
+            kept.append(_flip_field(*args))
+            return kept[-1]
+
+        monkeypatch.setattr(baselines, "_flip_field", capture)
+        batch = glauber_run(g, 0.5, np.ones(n), sweeps=200, seed=3)
+        phi, d, _, _ = kept[0]
+        fresh_phi, fresh_d, _, _ = _flip_field(g, batch.spins[-1])
+        np.testing.assert_array_equal(phi, fresh_phi)
+        np.testing.assert_allclose(d, fresh_d, rtol=1e-12, atol=1e-12 * np.abs(fresh_d).max())
 
 
 class TestW2:

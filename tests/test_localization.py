@@ -260,8 +260,8 @@ class TestZeroTiltStep:
 
     KNOBS = dict(k_amp=5, k_ngd=10, eta=0.1, gamma=1.0)
     # total kernel calls of `test_kernel_calls_hand_count`, with the knobs and
-    # at the defaults (a fixed step of 0.6 takes 84 at the defaults)
-    HAND_COUNTS = {((2, 0.5),): [48, 49], MIXED_ODD: [49, 52]}
+    # at the defaults (a fixed step of 0.6 takes 81 at the defaults)
+    HAND_COUNTS = {((2, 0.5),): [45, 46], MIXED_ODD: [46, 49]}
 
     @pytest.mark.parametrize("coeffs", [((2, 0.5),), MIXED_ODD], ids=["sk", "p234"])
     @pytest.mark.parametrize("rows", [1, 3])
@@ -295,10 +295,10 @@ class TestZeroTiltStep:
 
     @pytest.mark.parametrize("coeffs", [((2, 0.5),), MIXED_ODD], ids=["sk", "p234"])
     def test_kernel_calls_hand_count(self, coeffs, monkeypatch, caplog):
-        # each estimated step makes k_amp AMP gradients, then 1 + steps +
-        # halvings NGD value-and-gradient calls: k_ngd steps with the knobs,
-        # whose rows stay above NGD_TOL, and fewer at the defaults, where every
-        # row freezes early; l = 0 makes no call
+        # each estimated step makes k_amp - 1 AMP gradients (none at m^0 = 0),
+        # then 1 + steps + halvings NGD value-and-gradient calls: k_ngd steps
+        # with the knobs, whose rows stay above NGD_TOL, and fewer at the
+        # defaults, where every row freezes early; l = 0 makes no call
         g = gen_random(MixtureSpec(coeffs), 6, seed=3)
         calls, halved = [], []
 
@@ -329,7 +329,7 @@ class TestZeroTiltStep:
                 sample(g, p, n_replicas=2)
                 runs = [(k, len(list(grp))) for k, grp in itertools.groupby(calls)]
                 assert [k for k, _ in runs] == ["amp", "ngd"] * p.L
-                assert all(count == p.k_amp for k, count in runs if k == "amp")
+                assert all(count == p.k_amp - 1 for k, count in runs if k == "amp")
                 steps, end = [], 0
                 for k, count in runs:
                     start, end = end, end + count
@@ -339,7 +339,7 @@ class TestZeroTiltStep:
                     assert steps == [p.k_ngd] * p.L
                 else:
                     assert all(1 <= t < p.k_ngd for t in steps)
-                assert len(calls) == sum(p.k_amp + 1 + t for t in steps) + len(halved)
+                assert len(calls) == sum(p.k_amp + t for t in steps) + len(halved)
                 totals.append(len(calls))
         finally:
             logger.removeHandler(handler)

@@ -9,7 +9,8 @@ every entry of INVOCATIONS runs as
     glasslocal KIND ARGS... --out LABEL.out
 
 from that side's `src/`.  The list is the one acceptance criterion 13 runs,
-plus `thresholds` on the {2: .5, 3: .7, 4: .2} mixture.  Every file the runs
+plus `thresholds` on the {2: .5, 3: .7, 4: .2} mixture and `glauber` on that
+mixture and on the pure odd degree p = 3.  Every file the runs
 leave is compared: results, `<out>.config.json` echoes, and LABEL.log, which
 holds each run's exit code and stderr.  Each is reported as identical or
 moved, with the first line that differs.  The exit status is 0 when every
@@ -45,6 +46,15 @@ INVOCATIONS = [
     ("glauber", [
         "glauber", "--n", "5", "--beta", "0.2", "--seed", "5",
         "--set", "glauber.sweeps=20", "--set", "glauber.burn_in=5",
+    ]),
+    ("glauber-mixed", [
+        "glauber", "--n", "12", "--mixture", '{"2": 0.5, "3": 0.7, "4": 0.2}',
+        "--beta", "0.25", "--seed", "1", "--set", "glauber.sweeps=100",
+        "--set", "glauber.burn_in=20", "--set", "glauber.thin=1",
+    ]),
+    ("glauber-odd", [
+        "glauber", "--n", "7", "--mixture", '{"3": 1.0}', "--beta", "0.4", "--seed", "2",
+        "--set", "glauber.sweeps=200", "--set", "glauber.burn_in=0",
     ]),
     ("w2", ["w2", "--set", 'w2.batch_a="exact.out"', "--set", 'w2.batch_b="exact.out"']),
     ("chaos", [
