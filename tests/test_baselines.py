@@ -186,7 +186,7 @@ class TestFlipField:
         g = _flip_instance(name, n)
         for _ in range(3):
             x = np.where(gen.uniform(size=n) < 0.5, -1.0, 1.0)
-            phi, d, F, rows = _flip_field(g, x)
+            phi, d, _, rows = _flip_field(g, x)
             flips = np.repeat(x[None], 2 * n, axis=0)
             flips[np.arange(2 * n), np.repeat(np.arange(n), 2)] = np.tile([1.0, -1.0], n)
             H = hamiltonian(g, flips)
