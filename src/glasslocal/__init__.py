@@ -2,8 +2,8 @@
 localization, with the scalar state-evolution theory, exact small-n oracles
 and experiment harnesses."""
 
-from .mixture import MixtureSpec, binary_entropy, binary_entropy_sum, ons, ons_prime, onsager
-from .scalar import QuadratureRule, mutual_info_scalar, phi, phi_prime, psi, psi_prime
+from .mixture import MixtureSpec, binary_entropy, ons, ons_prime, onsager
+from .scalar import mutual_info_scalar, phi, phi_prime, psi, psi_prime
 from .state_evolution import (
     SEProfile,
     ThresholdReport,
@@ -30,11 +30,10 @@ from .disorder import (
     read_tensors,
     write_tensors,
 )
-from .amp import AmpState, amp_lipschitz_probe, amp_run
+from .amp import AmpState, amp_run
 from .tap import (
     TapIterate,
     TapParams,
-    bregman,
     ftap_grad,
     ftap_hessian,
     ftap_value,
@@ -47,7 +46,6 @@ from .localization import (
     mean_estimate,
     round_spins,
     sample,
-    simulate_planted_path,
 )
 from .baselines import (
     ExactGibbs,

@@ -24,7 +24,7 @@ import numpy as np
 from .disorder import DisorderTensors, _rows, grad
 from .mixture import onsager
 
-__all__ = ["AmpState", "amp_run", "amp_lipschitz_probe"]
+__all__ = ["AmpState", "amp_run"]
 
 logger = logging.getLogger(__name__)
 
@@ -41,7 +41,6 @@ class AmpState:
     m_hat: np.ndarray
     z: np.ndarray
     q_hat: float | np.ndarray
-    onsager_b: float | np.ndarray
 
 
 def amp_run(
@@ -53,7 +52,7 @@ def amp_run(
 ) -> list[AmpState]:
     """Run K iterations from the zero initialization.
 
-    `y` may be a single vector (n,) or a batch (M, n); batched runs keep one
+    `y` may be a single vector (n,) or a batch (M, n); batched runs use one
     q_hat and Onsager scalar per row.  By default only the final state is
     returned, bounding memory; keep_history=True retains all K states for
     the state-evolution diagnostics.  A non-finite beta or y raises on entry;
@@ -87,34 +86,9 @@ def amp_run(
             m_hat=m.reshape(shape),
             z=z.reshape(shape),
             q_hat=q_hat.reshape(lead)[()],
-            onsager_b=b.reshape(lead)[()],
         )
         if keep_history:
             states.append(state)
         else:
             states = [state]
     return states
-
-
-def amp_lipschitz_probe(
-    g: DisorderTensors,
-    y: np.ndarray,
-    y_perturbed: np.ndarray,
-    beta: float,
-    K: int,
-) -> np.ndarray:
-    """Per-iteration ratios ||z_k(y) - z_k(y')|| / ||y - y'||.
-
-    z_k is the natural parameter atanh(m_k) as produced by the iteration
-    (no atanh round trip).  A zero perturbation yields all-zero ratios.
-    """
-    y = np.asarray(y, dtype=float)
-    y_perturbed = np.asarray(y_perturbed, dtype=float)
-    denom = np.linalg.norm(y - y_perturbed)
-    traj_a = amp_run(g, y, beta, K, keep_history=True)
-    traj_b = amp_run(g, y_perturbed, beta, K, keep_history=True)
-    if denom == 0.0:
-        return np.zeros(K)
-    return np.array(
-        [np.linalg.norm(sa.z - sb.z) / denom for sa, sb in zip(traj_a, traj_b)]
-    )

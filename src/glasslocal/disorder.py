@@ -76,9 +76,6 @@ class DisorderTensors:
     # (monomial levels, {p: C_p}), filled by `_packed` on the first kernel call
     _cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def active_degrees(self) -> list[int]:
-        return sorted(self.tensors)
-
 
 def _check_budget(spec: MixtureSpec, n: int):
     if spec.scalar_only:
@@ -129,7 +126,7 @@ def gen_planted(
     if not math.isfinite(beta):
         raise ValueError(f"planted beta = {beta} must be finite")
     g = gen_random(spec, n, seed)
-    for p in g.active_degrees():
+    for p in sorted(g.tensors):
         scale = beta * g.spec.c(p) / n ** ((p - 1) / 2)
         if scale != 0.0:
             g.tensors[p] = g.tensors[p] + scale * _power(x, p).reshape((n,) * p)

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .baselines import SampleBatch, empirical_w2, exact_gibbs, exact_sample, overlap_moment
+from .baselines import _check_batch_size, empirical_w2, exact_gibbs, exact_sample, overlap_moment
 from .disorder import gen_random, interpolate
 from .localization import SamplerParams, sample
 from .mixture import MixtureSpec
@@ -33,7 +33,10 @@ def chaos_experiment(
 
     Exact sampling throughout.  Returns one row per (s, seed) with the
     squared-overlap moment and the empirical W2 between the two batches.
+    A batch larger than `empirical_w2` takes is rejected before any
+    enumeration.
     """
+    _check_batch_size(batch_size)
     rows = []
     for seed in seeds:
         g0 = gen_random(spec, n, int(seed))

@@ -37,7 +37,6 @@ __all__ = [
     "mean_estimate",
     "sample",
     "round_spins",
-    "simulate_planted_path",
 ]
 
 #: NGD stops a row once ||grad F|| / sqrt(n) falls to this.
@@ -53,7 +52,7 @@ def _default(key: str):
 
 @dataclass
 class SamplerParams:
-    """All knobs of one sampler run; T = L * delta."""
+    """All knobs of one sampler run."""
 
     beta: float
     delta: float = _default("delta")
@@ -70,10 +69,6 @@ class SamplerParams:
             raise ValueError("delta must be positive and finite")
         if self.L < 1 or self.k_amp < 1 or self.k_ngd < 1:
             raise ValueError("iteration counts must be >= 1")
-
-    @property
-    def T(self) -> float:
-        return self.L * self.delta
 
 
 @dataclass
@@ -215,30 +210,3 @@ def sample(
         q_used=np.asarray(q_values[: params.L + 1]),
         step_grad_norms=step_gnorms,
     )
-
-
-def simulate_planted_path(
-    x: np.ndarray, times: np.ndarray, seed: int, replica: int = 0
-) -> np.ndarray:
-    """Observation path y(t) = t x + B(t) on an increasing time grid.
-
-    Increments are N(0, dt I) draws from the (seed, "path", replica) stream;
-    coupled runs sharing (seed, replica) reuse them exactly.  A grid point
-    t = 0 yields y = 0.
-    """
-    x = np.asarray(x, dtype=float)
-    times = np.asarray(times, dtype=float)
-    if np.any(np.diff(times) <= 0) or times[0] < 0:
-        raise ValueError("times must be strictly increasing and nonnegative")
-    g = rng.stream(seed, "path", replica)
-    n = x.size
-    ys = np.zeros((times.size, n))
-    t_prev = 0.0
-    b = np.zeros(n)
-    for i, t in enumerate(times):
-        dt = t - t_prev
-        if dt > 0:
-            b = b + math.sqrt(dt) * g.standard_normal(n)
-        ys[i] = t * x + b
-        t_prev = t
-    return ys

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["MixtureSpec", "ons", "ons_prime", "onsager", "binary_entropy", "binary_entropy_sum"]
+__all__ = ["MixtureSpec", "ons", "ons_prime", "onsager", "binary_entropy"]
 
 #: Largest degree for which dense tensors are supported.
 TENSOR_DEGREE_CAP = 4
@@ -161,8 +161,3 @@ def binary_entropy(m):
     if not np.all(np.abs(m) <= 1.0):
         raise ValueError("binary entropy requires |m| <= 1")
     return _entropy_terms(m)[()]
-
-
-def binary_entropy_sum(m) -> float:
-    """sum_i h(m_i) for a vector (or batch, summed over the last axis)."""
-    return binary_entropy(m).sum(axis=-1)

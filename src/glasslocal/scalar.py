@@ -13,13 +13,12 @@ tolerance consumed downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "QuadratureRule",
-    "DEFAULT_RULE",
+    "GH_NODES",
+    "GH_WEIGHTS",
     "psi",
     "psi_prime",
     "phi",
@@ -40,25 +39,10 @@ SMALL_GAMMA = 1e-6
 _LOG2 = math.log(2.0)
 
 
-@dataclass(frozen=True, eq=False)  # ndarray fields: identity eq; no cache keys on a rule
-class QuadratureRule:
-    """Gauss-Hermite nodes/weights normalized against the N(0,1) density."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    @classmethod
-    def gauss_hermite(cls, n_nodes: int) -> "QuadratureRule":
-        z, w = np.polynomial.hermite_e.hermegauss(n_nodes)
-        return cls(nodes=z, weights=w / math.sqrt(2.0 * math.pi))
-
-    @property
-    def n_nodes(self) -> int:
-        return self.nodes.size
-
-
-#: The one rule every expectation over Z in the package uses.
-DEFAULT_RULE = QuadratureRule.gauss_hermite(301)
+#: The one rule every expectation over Z in the package uses: 301
+#: Gauss-Hermite nodes, weights normalized against the N(0,1) density.
+GH_NODES, GH_WEIGHTS = np.polynomial.hermite_e.hermegauss(301)
+GH_WEIGHTS /= math.sqrt(2.0 * math.pi)
 
 #: phi: 45 bisection steps narrow the bracket to ~1e-14 relative, then Newton
 #: polishes to |psi(phi(q)) - q| <= PHI_TOL within PHI_NEWTON_STEPS.
@@ -91,8 +75,8 @@ def psi(gamma):
         out[tiny] = gt * (1.0 - gt * (1.0 - (5.0 / 3.0) * gt))
     if np.any(mid):
         gs = g[mid]
-        v = gs[:, None] + np.sqrt(gs)[:, None] * DEFAULT_RULE.nodes
-        out[mid] = np.tanh(v) @ DEFAULT_RULE.weights
+        v = gs[:, None] + np.sqrt(gs)[:, None] * GH_NODES
+        out[mid] = np.tanh(v) @ GH_WEIGHTS
     if np.any(large):
         gl = g[large]
         out[large] = 1.0 - np.sqrt(np.pi / (2.0 * gl)) * np.exp(-gl / 2.0)
@@ -114,9 +98,9 @@ def psi_prime(gamma):
     out[zero] = 1.0
     if np.any(mid):
         gm = g[mid]
-        v = gm[:, None] + np.sqrt(gm)[:, None] * DEFAULT_RULE.nodes
+        v = gm[:, None] + np.sqrt(gm)[:, None] * GH_NODES
         t = np.tanh(v)
-        out[mid] = ((1.0 - t**2) * (1.0 + 2.0 * t - 3.0 * t**2)) @ DEFAULT_RULE.weights
+        out[mid] = ((1.0 - t**2) * (1.0 + 2.0 * t - 3.0 * t**2)) @ GH_WEIGHTS
     if np.any(large):
         gl = g[large]
         # derivative of the asymptotic tail; numerically 0 at this range
@@ -177,6 +161,6 @@ def _log_cosh(x):
 def mutual_info_scalar(gamma):
     """I(gamma) = gamma - E[log cosh(gamma + sqrt(gamma) Z)], in [0, log 2]."""
     g, shape = _flat_nonneg(gamma)
-    v = g[:, None] + np.sqrt(g)[:, None] * DEFAULT_RULE.nodes
-    out = g - _log_cosh(v) @ DEFAULT_RULE.weights
+    v = g[:, None] + np.sqrt(g)[:, None] * GH_NODES
+    out = g - _log_cosh(v) @ GH_WEIGHTS
     return np.clip(out, 0.0, _LOG2).reshape(shape)[()]

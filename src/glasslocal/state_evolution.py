@@ -18,14 +18,13 @@ from functools import lru_cache
 import numpy as np
 
 from .mixture import MixtureSpec, binary_entropy, ons
-from .scalar import DEFAULT_RULE, mutual_info_scalar, phi, phi_prime, psi
+from .scalar import GH_NODES, GH_WEIGHTS, mutual_info_scalar, phi_prime, psi
 
 __all__ = [
     "SEProfile",
     "ThresholdReport",
     "se_recursion",
     "se_map",
-    "fixed_points",
     "mse_prediction",
     "beta1",
     "beta2",
@@ -45,7 +44,7 @@ FIXED_POINT_TOL = 1e-12
 FIXED_POINT_CAP = 10_000
 
 #: Solver settings of the thresholds, reported by `thresholds().method`.
-Q_GRID = 4096  # q-grid of fixed_points, beta1 (log-spaced) and beta_dyn
+Q_GRID = 4096  # q-grid of beta1 (log-spaced) and beta_dyn
 BETA1_REFINE_TOL = 1e-6  # golden-section bracket width
 BETA2_GRID = 10_000
 BETA2_REFINE = 2000  # points of the local refinement around the argmax
@@ -127,34 +126,6 @@ def se_recursion(spec: MixtureSpec, beta: float, t: float, K: int) -> SEProfile:
         gamma_star=gamma_star,
         converged=converged,
     )
-
-
-def fixed_points(spec: MixtureSpec, beta: float, t: float) -> np.ndarray:
-    """All roots of q = f_t(q) on [0, 1], by sign-change bracketing.
-
-    Below beta1 there is a single root; above beta1 the map can develop
-    several, and iteration from q_0 = 0 lands on the smallest.  Used by the
-    multi-root diagnostics; plain iteration remains the solver of record.
-    """
-    qs = np.linspace(0.0, 1.0, Q_GRID)
-    g = qs - se_map(spec, beta, t, qs)
-    roots = []
-    for i in range(Q_GRID - 1):
-        a, b = g[i], g[i + 1]
-        if a == 0.0:
-            roots.append(qs[i])
-        if a * b < 0:
-            lo, hi = qs[i], qs[i + 1]
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if (mid - float(se_map(spec, beta, t, mid))) * a > 0:
-                    lo = mid
-                else:
-                    hi = mid
-            roots.append(0.5 * (lo + hi))
-    if g[-1] == 0.0:
-        roots.append(qs[-1])
-    return np.array(roots)
 
 
 def mse_prediction(profile: SEProfile, k: int) -> float:
@@ -293,7 +264,7 @@ def dyn_h(lam):
     evaluation is overflow-free for every lambda.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    z, w = DEFAULT_RULE.nodes, DEFAULT_RULE.weights
+    z, w = GH_NODES, GH_WEIGHTS
     a = np.tanh(lam[:, None] * (z + lam[:, None])) ** 2 @ w
     b = np.tanh(lam[:, None] * (z - lam[:, None])) ** 2 @ w
     return 0.5 * (a + b)
@@ -368,7 +339,7 @@ def thresholds(spec: MixtureSpec, c0: float = 0.25, dyn_ceiling: float = 3.0) ->
             "beta3": {"c0": c0, "c0_is_heuristic": True},
             "beta_c_rs": {"simpson_panels": RS_PANELS, "bisect_tol": RS_TOL},
             "beta_dyn": {"bisect_tol": BETA_STEP, "q_grid": Q_GRID, "ceiling": dyn_ceiling},
-            "quadrature_nodes": DEFAULT_RULE.n_nodes,
+            "quadrature_nodes": GH_NODES.size,
             "fixed_point_tol": FIXED_POINT_TOL,
         },
     )

@@ -32,7 +32,6 @@ __all__ = [
     "ftap_grad",
     "ftap_hessian",
     "relative_hessian_extremes",
-    "bregman",
     "ngd_run",
 ]
 
@@ -168,20 +167,6 @@ def relative_hessian_extremes(
     A[np.diag_indices(g.n)] += 1.0
     w = np.linalg.eigvalsh(A)
     return float(w[0]), float(w[-1])
-
-
-def bregman(m: np.ndarray, nvec: np.ndarray) -> float:
-    """Bregman divergence of the negative binary entropy:
-    D(m, n) = -h(m) + h(n) + <grad h(n), m - n>, grad h(n) = -atanh(n)."""
-    m = np.asarray(m, dtype=float)
-    nvec = np.asarray(nvec, dtype=float)
-    _check_interior(m)
-    _check_interior(nvec)
-    return float(
-        -_entropy_terms(m).sum(axis=-1)
-        + _entropy_terms(nvec).sum(axis=-1)
-        - np.arctanh(nvec) @ (m - nvec)
-    )
 
 
 def ngd_run(

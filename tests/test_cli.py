@@ -340,19 +340,32 @@ class TestSubcommands:
 
 
 RERUN_MIXTURES = [{"2": 0.5}, {"2": 0.5, "3": 0.7, "4": 0.2}, {"3": 0.6}]
+# the instances `gen-disorder` writes for the `--tensor-file` configs, by name
+RERUN_TENSOR_FILES = {"sk": RERUN_MIXTURES[0], "p234": RERUN_MIXTURES[1]}
+
+
+@pytest.fixture(scope="module")
+def rerun_tensor_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("tensors")
+    paths = {name: str(d / f"{name}.bin") for name in RERUN_TENSOR_FILES}
+    for name, mixture in RERUN_TENSOR_FILES.items():
+        args = ["--mixture", json.dumps(mixture), "--n", "6", "--seed", "9", "--out", paths[name]]
+        assert run_cli("gen-disorder", *args) == 0
+    return paths
 
 
 @st.composite
 def rerun_configs(draw):
-    """A small run of one of the five commands that draw random numbers."""
+    """A small run of one of the five commands that draw random numbers, on a
+    generated instance or on a tensor file (named by its RERUN_TENSOR_FILES key)."""
     kind = draw(st.sampled_from(["sample", "exact", "glauber", "amp", "tap"]))
-    cfg = {
-        "kind": kind,
-        "mixture": draw(st.sampled_from(RERUN_MIXTURES)),
-        "n": draw(st.integers(1, 8)),
-        "beta": draw(st.floats(0.0, 0.4)),
-        "seed": draw(st.integers(0, 2**31)),
-    }
+    cfg = {"kind": kind}
+    tensor_file = draw(st.sampled_from([None, *RERUN_TENSOR_FILES]))
+    if tensor_file is None:
+        cfg.update(mixture=draw(st.sampled_from(RERUN_MIXTURES)), n=draw(st.integers(1, 8)))
+    else:
+        cfg["tensor_file"] = tensor_file
+    cfg.update(beta=draw(st.floats(0.0, 0.4)), seed=draw(st.integers(0, 2**31)))
     if kind == "sample":
         cfg["sampler"] = {
             "L": draw(st.integers(1, 3)),
@@ -373,7 +386,8 @@ def rerun_configs(draw):
         cfg["amp"] = {
             "k": draw(st.integers(1, 4)),
             "t": draw(st.floats(0.0, 2.0)),
-            "planted": draw(st.booleans()),
+            # a tensor file stores no planted x
+            "planted": tensor_file is None and draw(st.booleans()),
         }
     else:
         cfg["tap"] = {
@@ -393,10 +407,18 @@ TWO_CHUNK_SAMPLE = {
 }
 
 
+TENSOR_FILE_EXACT = {
+    "kind": "exact", "tensor_file": "p234", "beta": 0.3, "seed": 5, "exact": {"m_samples": 9},
+}
+
+
 @given(rerun_configs())
 @settings(max_examples=100, deadline=None)
 @example(TWO_CHUNK_SAMPLE)  # 66 replicas: two REPLICA_CHUNK batches
-def test_rerun_from_echo_byte_identical(tmp_path_factory, cfg):
+@example(TENSOR_FILE_EXACT)
+def test_rerun_from_echo_byte_identical(tmp_path_factory, rerun_tensor_files, cfg):
+    if "tensor_file" in cfg:
+        cfg = {**cfg, "tensor_file": rerun_tensor_files[cfg["tensor_file"]]}
     d = tmp_path_factory.mktemp("rerun")
     first = d / "first.json"
     first.write_text(json.dumps({**cfg, "out": str(d / "a.out")}))

@@ -62,3 +62,27 @@ def test_run_all_logs_exit_code_and_stderr(tmp_path):
     assert (tmp_path / "se.out").read_text().startswith("t,q_star,psi_star,mmse\n")
     assert (tmp_path / "se.out.config.json").exists()
     assert (tmp_path / "bad.log").read_text().startswith("exit 2\nconfig error: ")
+
+
+def test_change_side_defaults_to_working_tree(monkeypatch, capsys):
+    exported, trees = [], []
+
+    def export(rev, dest):
+        exported.append(rev)
+        return "0" * 40
+
+    def run_all(tree, outdir):
+        trees.append(tree)
+        with open(os.path.join(outdir, "x.out"), "w") as f:
+            f.write("same\n")
+
+    monkeypatch.setattr(cli_outputs, "export", export)
+    monkeypatch.setattr(cli_outputs, "run_all", run_all)
+    assert cli_outputs.main(["--parent", "HEAD"]) == 0
+    assert exported == ["HEAD"]  # one `git archive`, for the parent only
+    assert trees[1] == ROOT
+    assert "change: the working tree" in capsys.readouterr().out
+    exported.clear()
+    trees.clear()
+    assert cli_outputs.main(["--parent", "HEAD~1", "--change", "HEAD"]) == 0
+    assert exported == ["HEAD~1", "HEAD"] and ROOT not in trees

@@ -44,6 +44,24 @@ class TestChaos:
         for r in rows:
             assert abs(r["overlap_moment"] - 0.1) <= 0.03
 
+    def test_batch_over_cap_rejected_before_enumeration(self, sk, monkeypatch):
+        from glasslocal import experiments
+        from glasslocal.baselines import W2_BATCH_CAP
+
+        calls = []
+
+        def exact_gibbs(g, beta):
+            calls.append(g.n)
+            raise RuntimeError("enumerated")
+
+        monkeypatch.setattr(experiments, "exact_gibbs", exact_gibbs)
+        with pytest.raises(ValueError, match=f"batch size 3000 exceeds the cap {W2_BATCH_CAP}"):
+            chaos_experiment(sk, 12, 0.3, (0.0,), seeds=[0, 1], batch_size=3000)
+        assert calls == []
+        with pytest.raises(RuntimeError, match="enumerated"):  # the cap itself is allowed
+            chaos_experiment(sk, 12, 0.3, (0.0,), seeds=[0], batch_size=W2_BATCH_CAP)
+        assert calls == [12]
+
 
 class TestStability:
     def test_s_zero_exact(self, sk, stability_params):

@@ -16,7 +16,6 @@ from glasslocal import (
     round_spins,
     sample,
     se_recursion,
-    simulate_planted_path,
 )
 from glasslocal import disorder, localization, rng, tap
 from glasslocal.config import CONFIG_SCHEMA
@@ -81,39 +80,6 @@ class TestRounding:
             round_spins(np.array([0.5, bad]), rng.stream(0, "r"))
 
 
-class TestPlantedPath:
-    def test_zero_time(self):
-        x = np.ones(4)
-        ys = simulate_planted_path(x, np.array([0.0, 1.0]), seed=0)
-        np.testing.assert_array_equal(ys[0], np.zeros(4))
-
-    def test_mean_and_increment_variance(self):
-        x = np.array([1.0, -1.0, 1.0])
-        times = np.array([0.5, 1.5])
-        paths = np.stack(
-            [simulate_planted_path(x, times, seed=7, replica=r) for r in range(2000)]
-        )
-        for j, t in enumerate(times):
-            se = np.sqrt(t / 2000)
-            assert np.all(np.abs(paths[:, j].mean(axis=0) - t * x) <= 3 * se)
-        inc = paths[:, 1] - paths[:, 0]
-        v = inc.var(axis=0, ddof=1)
-        se_v = 1.0 * np.sqrt(2.0 / 1999)  # var of sample variance, dt = 1
-        assert np.all(np.abs(v - 1.0) <= 3 * se_v)
-
-    def test_coupled_reuse(self):
-        x = np.ones(3)
-        t = np.array([0.3, 0.9])
-        a = simulate_planted_path(x, t, seed=5, replica=1)
-        b = simulate_planted_path(-x, t, seed=5, replica=1)
-        # same driving noise: paths differ exactly by 2 t x
-        np.testing.assert_allclose(a - b, 2 * np.outer(t, x), atol=1e-12)
-
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            simulate_planted_path(np.ones(2), np.array([0.5, 0.5]), seed=0)
-
-
 class TestRoundingContraction:
     def test_w2_distortion_bounded(self, sk):
         # rounding two coupled mean ensembles inflates their empirical W2 by
@@ -124,8 +90,12 @@ class TestRoundingContraction:
 
         n, beta, M = 10, 0.3, 300
         g = gen_random(sk, n, seed=77)
-        ya = np.stack([simulate_planted_path(np.ones(n), np.array([2.0]), 7, r)[0] for r in range(M)])
-        yb = np.stack([simulate_planted_path(np.ones(n), np.array([3.0]), 8, r)[0] for r in range(M)])
+        x = np.ones(n)
+        # planted tilts y = t x + B(t): one N(0, t I) draw per replica stream
+        ya, yb = (
+            np.stack([t * x + np.sqrt(t) * rng.stream(s, "path", r).standard_normal(n) for r in range(M)])
+            for t, s in ((2.0, 7), (3.0, 8))
+        )
         ma = exact_mean_batch(g, beta, ya)
         mb = exact_mean_batch(g, beta, yb)
         cost = ((ma**2).sum(1)[:, None] + (mb**2).sum(1)[None, :] - 2 * ma @ mb.T) / n

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from glasslocal import MixtureSpec, binary_entropy, binary_entropy_sum
+from glasslocal import MixtureSpec, binary_entropy
 
 
 class TestMixtureSpec:
@@ -95,16 +95,12 @@ class TestBinaryEntropy:
         ms = np.linspace(-0.999, 0.999, 1001)
         assert np.all(np.diff(binary_entropy(ms), 2) <= 1e-12)
 
-    def test_vector_sum(self, gen):
-        m = gen.uniform(-1, 1, 64)
-        assert binary_entropy_sum(m) == pytest.approx(sum(binary_entropy(v) for v in m))
-
     def test_domain(self):
         with pytest.raises(ValueError):
             binary_entropy(1.0001)
 
     @pytest.mark.parametrize("bad", [1.0001, -1.5, np.nan])
-    @pytest.mark.parametrize("fn", [binary_entropy, binary_entropy_sum])
+    @pytest.mark.parametrize("fn", [binary_entropy])
     def test_bound_checked(self, fn, bad):
         with pytest.raises(ValueError, match="binary entropy requires"):
             fn(np.array([0.5, bad, 0.0]))
@@ -118,5 +114,5 @@ class TestBinaryEntropy:
         np.testing.assert_allclose(binary_entropy(m), want, rtol=1e-14, atol=0)
         assert binary_entropy(m[:2]).tolist() == [0.0, 0.0]
         np.testing.assert_allclose(
-            binary_entropy_sum(m.reshape(4, 51)), want.reshape(4, 51).sum(-1), rtol=1e-14, atol=0
+            binary_entropy(m.reshape(4, 51)), want.reshape(4, 51), rtol=1e-14, atol=0
         )

@@ -6,12 +6,12 @@ from scipy.integrate import quad
 
 from glasslocal import mutual_info_scalar, phi, phi_prime, psi, psi_prime
 from glasslocal import scalar
-from glasslocal.scalar import DEFAULT_RULE, QuadratureRule
+from glasslocal.scalar import GH_NODES, GH_WEIGHTS
 
 
 class TestQuadratureRule:
     def test_moments(self):
-        w, z = DEFAULT_RULE.weights, DEFAULT_RULE.nodes
+        w, z = GH_WEIGHTS, GH_NODES
         assert abs(w.sum() - 1.0) <= 1e-12
         assert abs(w @ z) <= 1e-12
         assert abs(w @ z**2 - 1.0) <= 1e-10
@@ -87,10 +87,9 @@ class TestPsi:
 
     def test_tanh_square_identity(self):
         # E tanh = E tanh^2 on this channel; both forms agree numerically
-        rule = DEFAULT_RULE
         for g in (0.3, 1.0, 5.0):
-            v = g + math.sqrt(g) * rule.nodes
-            sq = np.tanh(v) ** 2 @ rule.weights
+            v = g + math.sqrt(g) * GH_NODES
+            sq = np.tanh(v) ** 2 @ GH_WEIGHTS
             assert psi(g) == pytest.approx(sq, abs=1e-8)
 
     def test_domain(self):

@@ -18,7 +18,7 @@ from glasslocal import (
     thresholds,
 )
 from glasslocal import state_evolution
-from glasslocal.state_evolution import dyn_h, fixed_points, se_map
+from glasslocal.state_evolution import dyn_h, se_map
 
 # q_*(0.5, t) for t = 0, 0.5, 1.0, 1.5, 2.0 on the quadratic model: pinned by
 # running the recursion with adaptive-quadrature psi to 1e-14 (tests/oracles)
@@ -88,21 +88,6 @@ class TestRecursionProperties:
         for t in np.geomspace(1e-3, 5.0, 30):
             q = se_recursion(sk, 0.5, float(t), K=1).q_star
             assert 0.01 <= q / t <= 100.0
-
-    def test_multiple_fixed_points_above_beta1(self, sk):
-        # at beta = 1.5 some scanned t (here t = 0, where the symmetric root
-        # survives next to the nonzero one) exhibits >= 2 roots
-        found = False
-        for t in np.linspace(0.0, 0.6, 31):
-            roots = fixed_points(sk, 1.5, float(t))
-            if len(roots) >= 2:
-                found = True
-                break
-        assert found
-
-    def test_unique_fixed_point_below_beta1(self, sk):
-        for t in (0.05, 0.5, 2.0):
-            assert len(fixed_points(sk, 0.5, t)) == 1
 
 
 class TestThresholds:

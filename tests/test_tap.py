@@ -2,13 +2,11 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from glasslocal import (
     MixtureSpec,
     amp_run,
-    bregman,
     ftap_grad,
     ftap_hessian,
     ftap_value,
@@ -52,7 +50,7 @@ class TestValue:
 
     def test_reduces_to_unmodified_at_matching_q(self, mixed, gen):
         # Gamma = 0 and q = Q(m) kill every correction term
-        from glasslocal import binary_entropy_sum, hamiltonian
+        from glasslocal import binary_entropy, hamiltonian
 
         n, beta = 9, 0.5
         g = gen_random(mixed, n, seed=2)
@@ -63,7 +61,7 @@ class TestValue:
         plain = (
             -beta * hamiltonian(g, m)
             - y @ m
-            - binary_entropy_sum(m)
+            - binary_entropy(m).sum(-1)
             - n * ons(mixed, beta, q)
         )
         assert ftap_value(g, m, params) == pytest.approx(plain, rel=1e-12)
@@ -232,26 +230,6 @@ class TestRelativeHessian:
         lo, hi = relative_hessian_extremes(g, m, params)
         assert lo == pytest.approx(0.6216752789969376, rel=1e-9)
         assert hi == pytest.approx(1.5218050037960527, rel=1e-9)
-
-
-class TestBregman:
-    def test_zero_at_equal_points(self, gen):
-        m = gen.uniform(-0.9, 0.9, 12)
-        assert bregman(m, m) == 0.0
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_squared_distance_bounds(self, seed):
-        g = np.random.default_rng(seed)
-        m = g.uniform(-0.95, 0.95, 6)
-        nv = g.uniform(-0.95, 0.95, 6)
-        d = bregman(m, nv)
-        assert d >= 0.5 * np.sum((m - nv) ** 2) - 1e-12
-        assert d <= np.sum((np.arctanh(m) - np.arctanh(nv)) ** 2) + 1e-12
-
-    def test_boundary_rejected(self):
-        with pytest.raises(ValueError):
-            bregman(np.array([1.0]), np.array([0.0]))
 
 
 class TestNgd:

@@ -1,9 +1,11 @@
-"""Byte comparison of the CLI's output files at two revisions.
+"""Byte comparison of CLI output files: a revision against the working tree.
 
-    python3 tools/cli_outputs.py --parent HEAD~1 [--change HEAD]
+    python3 tools/cli_outputs.py --parent HEAD [--change REV]
 
-Each revision is exported from git (`git archive`) into its own temporary
-directory.  In a fresh output directory per side, with OPENBLAS_NUM_THREADS=1,
+The parent revision is exported from git (`git archive`) into a temporary
+directory.  The change side is the working tree, uncommitted edits included,
+or, with `--change`, that revision exported in the same way.  In a fresh
+output directory per side, with OPENBLAS_NUM_THREADS=1,
 every entry of INVOCATIONS runs as
 
     glasslocal KIND ARGS... --out LABEL.out
@@ -26,7 +28,7 @@ import subprocess
 import sys
 import tempfile
 
-from bench_pairs import SIDES, export  # tools/ is the script's directory
+from bench_pairs import ROOT, SIDES, export  # tools/ is the script's directory
 
 # (label, argv without --out); w2 reads the batch `exact` writes, so it runs after it
 INVOCATIONS = [
@@ -120,15 +122,20 @@ def compare(parent_dir: str, change_dir: str) -> list[tuple[str, str]]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="git rev of the parent side")
-    parser.add_argument("--change", default="HEAD", help="git rev of the change side")
+    parser.add_argument("--change", help="git rev of the change side (default: the working tree)")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="cli_outputs_") as tmp:
         outs = {}
         for side, rev in zip(SIDES, (args.parent, args.change)):
-            tree, outs[side] = os.path.join(tmp, side), os.path.join(tmp, side + "-out")
+            outs[side] = os.path.join(tmp, side + "-out")
             os.makedirs(outs[side])
-            print(f"{side}: {rev} = {export(rev, tree)}", flush=True)
+            if rev is None:
+                tree = ROOT
+                print(f"{side}: the working tree", flush=True)
+            else:
+                tree = os.path.join(tmp, side)
+                print(f"{side}: {rev} = {export(rev, tree)}", flush=True)
             run_all(tree, outs[side])
         verdicts = compare(outs["parent"], outs["change"])
     for name, verdict in verdicts:
