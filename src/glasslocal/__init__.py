@@ -3,7 +3,7 @@ localization, with the scalar state-evolution theory, exact small-n oracles
 and experiment harnesses."""
 
 from .mixture import MixtureSpec, binary_entropy, ons, ons_prime, onsager
-from .scalar import mutual_info_scalar, phi, phi_prime, psi, psi_prime
+from .scalar import mutual_info_scalar, phi, psi, psi_prime
 from .state_evolution import (
     SEProfile,
     ThresholdReport,

@@ -147,7 +147,7 @@ def _cmd_gen_disorder(cfg: dict) -> None:
 
 def _cmd_thresholds(cfg: dict) -> None:
     spec = _spec(cfg)
-    rep = thresholds(spec, c0=cfg["thresholds"]["c0"], dyn_ceiling=cfg["thresholds"]["dyn_ceiling"])
+    rep = thresholds(spec)
     _write_result(cfg.get("out"), json.dumps(rep.to_dict(), indent=2, sort_keys=True) + "\n", cfg)
 
 
@@ -194,9 +194,8 @@ def _cmd_tap(cfg: dict) -> None:
             f"n = {HESSIAN_CAP}, and n = {g.n}; pass --set tap.spectrum=false"
         )
     y = _tilt(cfg, g.n, t, g.meta.get("x"))
-    u = np.zeros(g.n)
-    if cfg["tap"]["m_source"] == "amp":  # AMP's z is the natural parameter
-        u = amp_run(g, y, beta, cfg["tap"]["k_amp"], keep_history=False)[-1].z
+    # AMP's z is the natural parameter
+    u = amp_run(g, y, beta, cfg["tap"]["k_amp"], keep_history=False)[-1].z
     m = np.tanh(u)
     params = TapParams(beta=beta, q=cfg["tap"]["q"], gamma_reg=cfg["tap"]["gamma"], y=y)
     value, gvec = _ftap(g, u[None], m[None], params, *_onsager_terms(g, params))  # one kernel call

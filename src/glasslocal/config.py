@@ -65,14 +65,6 @@ CONFIG_SCHEMA = {
                 "planted_beta": {"type": "number", "minimum": 0, "default": 0.0},
             },
         },
-        "thresholds": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "c0": {"type": "number", "exclusiveMinimum": 0, "default": 0.25},
-                "dyn_ceiling": {"type": "number", "exclusiveMinimum": 0, "default": 3.0},
-            },
-        },
         "se": {
             "type": "object",
             "additionalProperties": False,
@@ -98,7 +90,6 @@ CONFIG_SCHEMA = {
                 "gamma": {"type": "number", "minimum": 0, "default": 1.0},
                 "t": {"type": "number", "minimum": 0, "default": 1.0},
                 "k_amp": {"type": "integer", "minimum": 1, "default": 30},
-                "m_source": {"enum": ["amp", "zero"], "default": "amp"},
                 "spectrum": {"type": "boolean", "default": True},
             },
         },

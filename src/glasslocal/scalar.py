@@ -22,7 +22,6 @@ __all__ = [
     "psi",
     "psi_prime",
     "phi",
-    "phi_prime",
     "mutual_info_scalar",
 ]
 
@@ -146,11 +145,6 @@ def phi(q):
         raise RuntimeError("phi: root finding did not converge")
     g[qv == 0.0] = 0.0
     return g.reshape(q_arr.shape)[()]
-
-
-def phi_prime(q):
-    """phi'(q) = 1 / psi'(phi(q))."""
-    return 1.0 / psi_prime(phi(q))
 
 
 def _log_cosh(x):

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .mixture import MixtureSpec, binary_entropy, ons
-from .scalar import GH_NODES, GH_WEIGHTS, mutual_info_scalar, phi_prime, psi
+from .scalar import GH_NODES, GH_WEIGHTS, mutual_info_scalar, psi, psi_prime
 
 __all__ = [
     "SEProfile",
@@ -44,14 +44,15 @@ FIXED_POINT_TOL = 1e-12
 FIXED_POINT_CAP = 10_000
 
 #: Solver settings of the thresholds, reported by `thresholds().method`.
-Q_GRID = 4096  # q-grid of beta1 (log-spaced) and beta_dyn
-BETA1_REFINE_TOL = 1e-6  # golden-section bracket width
+Q_GRID = 4096  # gamma-grid of beta1 (log-spaced) and q-grid of beta_dyn
+BETA1_GAMMA = (1e-8, 30.0)  # psi maps it onto q in [1e-8, 1 - 7e-8]
 BETA2_GRID = 10_000
-BETA2_REFINE = 2000  # points of the local refinement around the argmax
 BETA2_TOL = 1e-4  # bisection width on beta
+BETA3_C0 = 0.25  # heuristic constant of the general beta3
 RS_PANELS = 2048  # Simpson panels of RS(t) on [0, 1]
 RS_TOL = 1e-3  # bisection width on beta
 BETA_STEP = 1e-3  # bisection width on beta of beta_dyn
+DYN_CEILING = 3.0  # beta_dyn is None when there is no root at this beta
 
 #: beta^2 xi(q) + h(q) - log 2 is a difference of O(log 2) quantities, so its
 #: computed value carries ~1e-16 of rounding noise near q = 0; suprema below
@@ -139,40 +140,16 @@ def mse_prediction(profile: SEProfile, k: int) -> float:
 def beta1(spec: MixtureSpec) -> float:
     """inf over q in (0,1) of sqrt(phi'(q) / xi''(q)).
 
-    Log-spaced grid scan followed by golden-section refinement; absolute
+    With q = psi(gamma), phi'(q) = 1/psi'(gamma), so this is
+    1 / sqrt(max over gamma of psi'(gamma) xi''(psi(gamma))), scanned on a
+    log-spaced gamma-grid of Q_GRID points over BETA1_GAMMA; absolute
     accuracy ~1e-4 on the threshold.
     """
-    qs = np.geomspace(1e-8, 1.0 - 1e-6, Q_GRID)
-    xi2 = spec.xi(qs, order=2)
-    if np.all(xi2 <= 0):
+    gammas = np.geomspace(*BETA1_GAMMA, Q_GRID)
+    curvature = float(np.max(psi_prime(gammas) * spec.xi(psi(gammas), order=2)))
+    if curvature <= 0:
         raise ValueError("degenerate mixture: xi'' vanishes on (0,1)")
-    with np.errstate(divide="ignore"):
-        vals = np.sqrt(phi_prime(qs) / xi2)
-    i = int(np.argmin(vals))
-    lo = qs[max(i - 1, 0)]
-    hi = qs[min(i + 1, Q_GRID - 1)]
-
-    def f(q):
-        x2 = float(spec.xi(q, order=2))
-        if x2 <= 0:
-            return np.inf
-        return math.sqrt(phi_prime(q) / x2)
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > BETA1_REFINE_TOL:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return min(f(0.5 * (a + b)), float(vals[i]))
+    return 1.0 / math.sqrt(curvature)
 
 
 def _bisect_threshold(name: str, holds, tol: float, ceiling: float | None = None):
@@ -196,44 +173,30 @@ def _bisect_threshold(name: str, holds, tol: float, ceiling: float | None = None
     return lo, hi
 
 
-def _sup_free_entropy(spec: MixtureSpec, beta: float, qs: np.ndarray, hq: np.ndarray) -> float:
-    vals = beta * beta * spec.xi(qs) + hq - _LOG2
-    i = int(np.argmax(vals))
-    # local refinement around the coarse argmax
-    lo = qs[max(i - 1, 0)]
-    hi = qs[min(i + 1, qs.size - 1)]
-    qf = np.linspace(lo, hi, BETA2_REFINE)
-    vf = beta * beta * spec.xi(qf) + binary_entropy(qf) - _LOG2
-    return max(float(vals[i]), float(vf.max()))
-
-
 @lru_cache(maxsize=64)
 def beta2(spec: MixtureSpec) -> float:
     """sup of beta with beta^2 xi(q) + h(q) - log 2 < 0 on all of (0,1), by
-    bisection of the grid-supremum predicate (refined near the argmax)."""
+    bisection of the predicate that its grid maximum reaches NOISE_FLOOR."""
     qs = np.linspace(1e-6, 1.0 - 1e-9, BETA2_GRID)
-    hq = binary_entropy(qs)
+    xq, hq = spec.xi(qs), binary_entropy(qs)
     lo, hi = _bisect_threshold(
-        "beta2", lambda b: _sup_free_entropy(spec, b, qs, hq) >= NOISE_FLOOR, BETA2_TOL
+        "beta2", lambda b: np.max(b * b * xq + hq - _LOG2) >= NOISE_FLOOR, BETA2_TOL
     )
     return 0.5 * (lo + hi)
 
 
-def beta3(spec: MixtureSpec, c0: float = 0.25) -> float:
+def beta3(spec: MixtureSpec) -> float:
     """Local-convexity threshold.
 
     Exact value 1/(2 sqrt(xi''(0))) for a pure quadratic mixture; otherwise
-    the heuristic c0 / sqrt(xi''(1) log xi_hat^(8)(1)) with the configurable
-    constant c0.
+    the heuristic c0 / sqrt(xi''(1) log xi_hat^(8)(1)) with c0 = BETA3_C0.
     """
-    if c0 <= 0:
-        raise ValueError("c0 must be positive")
     if len(spec.coeffs) == 1 and spec.coeffs[0][0] == 2:
         return 1.0 / (2.0 * math.sqrt(spec.xi(0.0, order=2)))
     x8 = spec.xi_hat(8)
     if x8 <= 1.0:
         raise ValueError("log xi_hat^(8)(1) undefined: xi_hat^(8)(1) <= 1")
-    return c0 / math.sqrt(spec.xi(1.0, order=2) * math.log(x8))
+    return BETA3_C0 / math.sqrt(spec.xi(1.0, order=2) * math.log(x8))
 
 
 def _rs_max(spec: MixtureSpec, beta: float, s: np.ndarray) -> float:
@@ -278,14 +241,14 @@ def _dyn_root(spec: MixtureSpec, beta: float) -> bool:
 
 
 @lru_cache(maxsize=64)
-def beta_dyn(spec: MixtureSpec, ceiling: float = 3.0) -> float | None:
+def beta_dyn(spec: MixtureSpec) -> float | None:
     """Smallest beta at which q = H(beta sqrt(xi'(q))) has a root q > 0.
 
     The upper end of the final bisection bracket, BETA_STEP wide, so the
     grid root exists there and not BETA_STEP below.  Returns None when there
-    is no root at the ceiling.
+    is no root at DYN_CEILING.
     """
-    bracket = _bisect_threshold("beta_dyn", lambda b: _dyn_root(spec, b), BETA_STEP, ceiling)
+    bracket = _bisect_threshold("beta_dyn", lambda b: _dyn_root(spec, b), BETA_STEP, DYN_CEILING)
     return None if bracket is None else float(bracket[1])
 
 
@@ -324,21 +287,21 @@ def q_schedule(spec: MixtureSpec, beta: float, delta: float, L: int) -> np.ndarr
     return values
 
 
-def thresholds(spec: MixtureSpec, c0: float = 0.25, dyn_ceiling: float = 3.0) -> ThresholdReport:
+def thresholds(spec: MixtureSpec) -> ThresholdReport:
     """Compute every threshold and package it with solver metadata."""
     return ThresholdReport(
         beta1=beta1(spec),
         beta2=beta2(spec),
-        beta3=beta3(spec, c0),
+        beta3=beta3(spec),
         beta_c_rs=beta_c_rs(spec),
-        beta_dyn=beta_dyn(spec, ceiling=dyn_ceiling),
+        beta_dyn=beta_dyn(spec),
         mixture=spec.to_dict(),
         method={
-            "beta1": {"grid": Q_GRID, "spacing": "log", "refine": "golden", "tol": 1e-4},
-            "beta2": {"grid": BETA2_GRID, "refine": BETA2_REFINE, "bisect_tol": BETA2_TOL},
-            "beta3": {"c0": c0, "c0_is_heuristic": True},
+            "beta1": {"gamma_grid": Q_GRID, "gamma_range": list(BETA1_GAMMA), "spacing": "log"},
+            "beta2": {"grid": BETA2_GRID, "bisect_tol": BETA2_TOL},
+            "beta3": {"c0": BETA3_C0, "c0_is_heuristic": True},
             "beta_c_rs": {"simpson_panels": RS_PANELS, "bisect_tol": RS_TOL},
-            "beta_dyn": {"bisect_tol": BETA_STEP, "q_grid": Q_GRID, "ceiling": dyn_ceiling},
+            "beta_dyn": {"bisect_tol": BETA_STEP, "q_grid": Q_GRID, "ceiling": DYN_CEILING},
             "quadrature_nodes": GH_NODES.size,
             "fixed_point_tol": FIXED_POINT_TOL,
         },

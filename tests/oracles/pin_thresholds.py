@@ -45,10 +45,12 @@ def h(m):
     return -out
 
 
-def beta1_pure3():
+def beta1_grid(xi2):
+    """min over a dense q-grid of sqrt(phi'(q) / xi''(q)), phi by bisection."""
     qs = np.linspace(1e-7, 1 - 1e-7, 1_000_000)
-    phip = 1.0 / psi_prime_vec(phi_vec(qs))
-    vals = np.sqrt(phip / (6 * qs))  # xi'' = 6q for xi = t^3
+    chunks = np.array_split(qs, 50)  # bounds the (points, nodes) arrays to ~40 MB
+    phip = np.concatenate([1.0 / psi_prime_vec(phi_vec(c)) for c in chunks])
+    vals = np.sqrt(phip / xi2(qs))
     i = int(np.argmin(vals))
     return vals[i], qs[i]
 
@@ -83,8 +85,10 @@ def beta_dyn_brute(p, bmax, nq=100_000, db=1e-3):
 
 
 def main():
-    v, q = beta1_pure3()
+    v, q = beta1_grid(lambda t: 6 * t)  # xi = t^3
     print(f"beta1(pure p=3)  = {v:.7f}  (argmin q = {q:.4f})")
+    v, q = beta1_grid(lambda t: 1 + 4.2 * t + 2.4 * t * t)  # xi = .5t^2 + .7t^3 + .2t^4
+    print(f"beta1(mixed)     = {v:.7f}  (argmin q = {q:.4f})")
     print(f"beta2(pure p=4)  = {beta2_dense(lambda t: t**4):.7f}")
     print(f"beta2(quadratic) = {beta2_dense(lambda t: t * t / 2):.7f}")
     print(f"beta_dyn(p=3)    = {beta_dyn_brute(3, 2.0):.4f}")

@@ -121,7 +121,8 @@ class TestSubcommands:
         # resolved config echoed next to the result
         paired = json.loads((tmp_path / "th.json.config.json").read_text())
         assert paired["kind"] == "thresholds"
-        assert paired["thresholds"]["c0"] == 0.25
+        assert "thresholds" not in paired  # c0 and the ceiling are constants
+        assert rep["method"]["beta3"]["c0"] == 0.25
 
     def test_malformed_config_names_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -394,7 +395,6 @@ def rerun_configs(draw):
             "q": draw(st.floats(0.0, 0.9)),
             "t": draw(st.floats(0.0, 2.0)),
             "k_amp": draw(st.integers(1, 4)),
-            "m_source": draw(st.sampled_from(["amp", "zero"])),
             "spectrum": draw(st.booleans()),
         }
     return cfg
@@ -576,6 +576,17 @@ def test_cli_import_loads_no_jsonschema():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("args", [["thresholds"], ["se", "--beta", "0.2"]], ids=["th", "se"])
+def test_high_degree_writes_no_stderr(tmp_path, args):
+    # a fresh process: no cached beta1 and no pytest warning capture hide a leak
+    src = os.path.dirname(os.path.dirname(glasslocal.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys; from glasslocal.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = [sys.executable, "-c", code, *args, "--mixture", '{"50": 1.0}', "--out", "r.out"]
+    out = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert out.returncode == 0 and out.stderr == ""
 
 
 class TestConfigFromCli:

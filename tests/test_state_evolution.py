@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,17 @@ class TestThresholds:
         # oracle: dense 1e6-point grid scan (tests/oracles)
         assert beta1(MixtureSpec.pure(3)) == pytest.approx(0.9542650, abs=2e-4)
 
+    def test_beta1_mixed_pinned(self, mixed):
+        # oracle: the same dense q-grid scan; its argmin q = 0.359 is interior
+        assert beta1(mixed) == pytest.approx(0.8453599, abs=2e-4)
+
+    def test_beta1_high_degree_warns_nothing(self):
+        # xi'' of p = 50 underflows near q = 0; the scan must not overflow on it
+        beta1.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert 0.0 < beta1(MixtureSpec.pure(50)) < 1.0
+
     def test_sk_beta2(self, sk):
         assert beta2(sk) == pytest.approx(1.0, abs=1e-3)
 
@@ -125,7 +137,7 @@ class TestThresholds:
     def test_beta3_general_branch(self):
         p3 = MixtureSpec.pure(3)
         want = 0.25 / np.sqrt(6.0 * np.log(6561.0))
-        assert beta3(p3, c0=0.25) == pytest.approx(want, abs=1e-15)
+        assert beta3(p3) == pytest.approx(want, abs=1e-15)
 
     def test_beta3_log_domain_error(self):
         small = MixtureSpec(((2, 0.001), (3, 0.0001)))
@@ -153,8 +165,8 @@ class TestThresholds:
     def test_method_pinned(self, request, spec_name):
         # the solver settings thresholds.json reports, types included
         want = {
-            "beta1": {"grid": 4096, "spacing": "log", "refine": "golden", "tol": 1e-4},
-            "beta2": {"grid": 10000, "refine": 2000, "bisect_tol": 1e-4},
+            "beta1": {"gamma_grid": 4096, "gamma_range": [1e-8, 30.0], "spacing": "log"},
+            "beta2": {"grid": 10000, "bisect_tol": 1e-4},
             "beta3": {"c0": 0.25, "c0_is_heuristic": True},
             "beta_c_rs": {"simpson_panels": 2048, "bisect_tol": 1e-3},
             "beta_dyn": {"bisect_tol": 1e-3, "q_grid": 4096, "ceiling": 3.0},
@@ -205,9 +217,9 @@ class TestBetaDyn:
         assert vals[0] > vals[1] > vals[2]
 
     def test_none_below_ceiling(self):
-        # a very weak mixture has no nonzero solution below a low ceiling
+        # a very weak mixture has no nonzero solution below the ceiling
         weak = MixtureSpec(((2, 0.01),))
-        assert beta_dyn(weak, ceiling=1.0) is None
+        assert beta_dyn(weak) is None
 
     def test_h_matches_direct_expectation(self, gen):
         # direct cosh-weighted Monte Carlo vs the shifted-measure evaluation

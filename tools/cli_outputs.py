@@ -11,12 +11,13 @@ every entry of INVOCATIONS runs as
     glasslocal KIND ARGS... --out LABEL.out
 
 from that side's `src/`.  The list is the one acceptance criterion 13 runs,
-plus `thresholds` on the {2: .5, 3: .7, 4: .2} mixture and `glauber` on that
-mixture and on the pure odd degree p = 3.  Every file the runs
-leave is compared: results, `<out>.config.json` echoes, and LABEL.log, which
-holds each run's exit code and stderr.  Each is reported as identical or
-moved, with the first line that differs.  The exit status is 0 when every
-file is identical and 1 otherwise.
+plus `thresholds` on the {2: .5, 3: .7, 4: .2} mixture and on the pure
+degree p = 50, `se` on that mixture above its beta1 (so the beta1 warning
+shows in the log), and `glauber` on that mixture and on the pure odd degree
+p = 3.  Every file the runs leave is compared: results, `<out>.config.json`
+echoes, and LABEL.log, which holds each run's exit code and stderr.  Each
+is reported as identical or moved, with the first line that differs.  The
+exit status is 0 when every file is identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ INVOCATIONS = [
     ("gen-disorder", ["gen-disorder", "--n", "4", "--seed", "3"]),
     ("thresholds", ["thresholds", "--mixture", '{"2": 0.5}']),
     ("thresholds-mixed", ["thresholds", "--mixture", '{"2": 0.5, "3": 0.7, "4": 0.2}']),
+    ("thresholds-p50", ["thresholds", "--mixture", '{"50": 1.0}']),
     ("se", ["se", "--beta", "0.4", "--set", "se.t_max=0.5", "--set", "se.t_step=0.25"]),
+    ("se-mixed", ["se", "--mixture", '{"2": 0.5, "3": 0.7, "4": 0.2}', "--beta", "0.9"]),
     ("amp", ["amp", "--n", "100", "--beta", "0.4", "--seed", "1", "--set", "amp.k=3"]),
     ("tap", ["tap", "--n", "40", "--beta", "0.3", "--seed", "2", "--set", "tap.k_amp=5"]),
     ("sample", [
