@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -375,11 +376,22 @@ def _apply_overrides(cfg: dict, args) -> dict:
     return cfg
 
 
+def _show_warning(message, *_) -> None:
+    """Print a warning as `warning: <message>`, with no source file or line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.print_schema:
         print(json.dumps(CONFIG_SCHEMA, indent=2))
         return 0
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        return _run(args)
+
+
+def _run(args) -> int:
     try:
         cfg = {}
         if args.config:

@@ -11,9 +11,12 @@ time from index arrays in the same cache, and the Hessian reads C_p through
 their Jacobian.  One kernel gives value and gradient on rows, in one GEMM
 per degree.  C_p has about n^p/(p-1)! entries, so for p >= 3 the cache is
 smaller than the tensor it is built from; C_2 = T + T^T.  Rows go through in
-blocks (`BLOCK_ENTRIES`).  All entries come from Philox streams keyed by
-(seed, p), so a planted instance shares its noise part bit-for-bit with the
-random instance of the same seed.
+blocks (`BLOCK_ENTRIES`).  The exact oracles' table of H over the whole
+cube is the one evaluation that does not use the cache: it is a
+Walsh-Hadamard transform of the raw tensors (`hamiltonian_table`).  All
+entries come from Philox streams keyed by (seed, p), so a planted instance
+shares its noise part bit-for-bit with the random instance of the same
+seed.
 """
 
 from __future__ import annotations
@@ -360,18 +363,52 @@ def hessian(g: DisorderTensors, m: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def all_spins(n: int) -> np.ndarray:
-    """All 2^n spin configurations; row b has x_i = 2*bit_i(b) - 1."""
+def _check_enumeration(n: int) -> None:
     if n > ENUMERATION_CAP:
         raise ValueError(f"enumeration cap exceeded: n={n} > {ENUMERATION_CAP}")
+
+
+def all_spins(n: int) -> np.ndarray:
+    """All 2^n spin configurations; row b has x_i = 2*bit_i(b) - 1."""
+    _check_enumeration(n)
     b = np.arange(2**n, dtype=np.uint32)
     bits = (b[:, None] >> np.arange(n, dtype=np.uint32)) & 1
     return 2.0 * bits.astype(float) - 1.0
 
 
 def hamiltonian_table(g: DisorderTensors) -> np.ndarray:
-    """H(x) over every configuration, in `all_spins` order."""
-    return hamiltonian(g, all_spins(g.n))
+    """H(x) over every configuration, in `all_spins` order, by a fast
+    Walsh-Hadamard transform of the raw tensors; the kernel is not called.
+
+    On the cube x_i^2 = 1, so the entry T[i_1..i_p] multiplies x^S, S the
+    set of indices of odd multiplicity: the XOR of the one-hot bits 1 << i_t.
+    One bincount per slab T[i] of the leading index adds s_p T into these
+    2^n bins, s_p = c_p n^{-(p-1)/2}, which gives H's coefficient a_S of
+    each x^S with O(2^n + n^{p-1}) extra memory.  Row b of `all_spins` has
+    x_i = -1 where bit i of b is clear, so H(b) = sum_S a_S prod_{i in S}
+    (2 bit_i(b) - 1); one butterfly pass per bit, (u, v) -> (u - v, u + v),
+    sums that for every b.  Agrees with `hamiltonian(g, all_spins(n))` to
+    rounding, as the sums run in another order.  The whole cube goes to this
+    table and every given batch of rows to the kernel, the reference."""
+    n = g.n
+    _check_enumeration(n)
+    bits = np.left_shift(1, np.arange(n, dtype=np.intp))
+    table = np.zeros(2**n)
+    for p, T in sorted(g.tensors.items()):
+        rest = np.zeros(1, dtype=np.intp)  # the odd set of each T[i] entry, row-major
+        for _ in range(p - 1):
+            rest = (rest[:, None] ^ bits).ravel()
+        coef = np.zeros(2**n)
+        for i in range(n):
+            coef += np.bincount(rest ^ bits[i], weights=T[i].ravel(), minlength=2**n)
+        table += g.spec.c(p) / n ** ((p - 1) / 2) * coef
+    for k in range(n):
+        t = table.reshape(-1, 2, 1 << k)
+        u, v = t[:, 0], t[:, 1]
+        d = u - v
+        v += u
+        u[...] = d
+    return table
 
 
 def partition_rescaled(g: DisorderTensors, beta: float) -> float:

@@ -13,12 +13,12 @@ tolerance consumed downstream.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "GH_NODES",
-    "GH_WEIGHTS",
+    "gh_rule",
     "psi",
     "psi_prime",
     "phi",
@@ -38,16 +38,27 @@ SMALL_GAMMA = 1e-6
 _LOG2 = math.log(2.0)
 
 
-#: The one rule every expectation over Z in the package uses: 301
-#: Gauss-Hermite nodes, weights normalized against the N(0,1) density.
-GH_NODES, GH_WEIGHTS = np.polynomial.hermite_e.hermegauss(301)
-GH_WEIGHTS /= math.sqrt(2.0 * math.pi)
+#: Nodes of the one Gauss-Hermite rule (see `gh_rule`).
+GH_POINTS = 301
 
 #: phi: 45 bisection steps narrow the bracket to ~1e-14 relative, then Newton
 #: polishes to |psi(phi(q)) - q| <= PHI_TOL within PHI_NEWTON_STEPS.
 PHI_TOL = 1e-11
 PHI_BISECTIONS = 45
 PHI_NEWTON_STEPS = 155
+
+
+@lru_cache(maxsize=1)
+def gh_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The one rule every expectation over Z in the package uses, built on
+    first use: (nodes, weights) of GH_POINTS-node Gauss-Hermite, the weights
+    normalized against the N(0,1) density.  Both arrays are read-only."""
+    from numpy.polynomial.hermite_e import hermegauss
+
+    nodes, weights = hermegauss(GH_POINTS)
+    weights /= math.sqrt(2.0 * math.pi)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _flat_nonneg(gamma):
@@ -74,8 +85,8 @@ def psi(gamma):
         out[tiny] = gt * (1.0 - gt * (1.0 - (5.0 / 3.0) * gt))
     if np.any(mid):
         gs = g[mid]
-        v = gs[:, None] + np.sqrt(gs)[:, None] * GH_NODES
-        out[mid] = np.tanh(v) @ GH_WEIGHTS
+        z, w = gh_rule()
+        out[mid] = np.tanh(gs[:, None] + np.sqrt(gs)[:, None] * z) @ w
     if np.any(large):
         gl = g[large]
         out[large] = 1.0 - np.sqrt(np.pi / (2.0 * gl)) * np.exp(-gl / 2.0)
@@ -97,9 +108,9 @@ def psi_prime(gamma):
     out[zero] = 1.0
     if np.any(mid):
         gm = g[mid]
-        v = gm[:, None] + np.sqrt(gm)[:, None] * GH_NODES
-        t = np.tanh(v)
-        out[mid] = ((1.0 - t**2) * (1.0 + 2.0 * t - 3.0 * t**2)) @ GH_WEIGHTS
+        z, w = gh_rule()
+        t = np.tanh(gm[:, None] + np.sqrt(gm)[:, None] * z)
+        out[mid] = ((1.0 - t**2) * (1.0 + 2.0 * t - 3.0 * t**2)) @ w
     if np.any(large):
         gl = g[large]
         # derivative of the asymptotic tail; numerically 0 at this range
@@ -155,6 +166,6 @@ def _log_cosh(x):
 def mutual_info_scalar(gamma):
     """I(gamma) = gamma - E[log cosh(gamma + sqrt(gamma) Z)], in [0, log 2]."""
     g, shape = _flat_nonneg(gamma)
-    v = g[:, None] + np.sqrt(g)[:, None] * GH_NODES
-    out = g - _log_cosh(v) @ GH_WEIGHTS
+    z, w = gh_rule()
+    out = g - _log_cosh(g[:, None] + np.sqrt(g)[:, None] * z) @ w
     return np.clip(out, 0.0, _LOG2).reshape(shape)[()]

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .mixture import MixtureSpec, binary_entropy, ons
-from .scalar import GH_NODES, GH_WEIGHTS, mutual_info_scalar, psi, psi_prime
+from .scalar import GH_POINTS, gh_rule, mutual_info_scalar, psi, psi_prime
 
 __all__ = [
     "SEProfile",
@@ -227,7 +227,7 @@ def dyn_h(lam):
     evaluation is overflow-free for every lambda.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    z, w = GH_NODES, GH_WEIGHTS
+    z, w = gh_rule()
     a = np.tanh(lam[:, None] * (z + lam[:, None])) ** 2 @ w
     b = np.tanh(lam[:, None] * (z - lam[:, None])) ** 2 @ w
     return 0.5 * (a + b)
@@ -302,7 +302,7 @@ def thresholds(spec: MixtureSpec) -> ThresholdReport:
             "beta3": {"c0": BETA3_C0, "c0_is_heuristic": True},
             "beta_c_rs": {"simpson_panels": RS_PANELS, "bisect_tol": RS_TOL},
             "beta_dyn": {"bisect_tol": BETA_STEP, "q_grid": Q_GRID, "ceiling": DYN_CEILING},
-            "quadrature_nodes": GH_NODES.size,
+            "quadrature_nodes": GH_POINTS,
             "fixed_point_tol": FIXED_POINT_TOL,
         },
     )

@@ -589,6 +589,22 @@ def test_high_degree_writes_no_stderr(tmp_path, args):
     assert out.returncode == 0 and out.stderr == ""
 
 
+def test_beta1_warning_has_no_source_line(tmp_path):
+    # the warning names no file or line of the CLI, so the log does not
+    # move when code above the call moves
+    src = os.path.dirname(os.path.dirname(glasslocal.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys; from glasslocal.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = [sys.executable, "-c", code, "se", "--mixture", '{"2": 0.5, "3": 0.7, "4": 0.2}',
+            "--beta", "0.9", "--out", "r.out"]
+    out = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert out.returncode == 0
+    assert out.stderr == (
+        "warning: psi_star evaluated at beta=0.9 >= beta1; the fixed point may not be unique\n"
+    )
+    assert ".py:" not in out.stderr
+
+
 class TestConfigFromCli:
     def test_mixture_flag_replaces_default(self, tmp_path):
         out = tmp_path / "th3.json"

@@ -50,6 +50,10 @@ def test_invocations_cover_every_subcommand():
     assert len(set(labels)) == len(labels)
     assert {argv[0] for _, argv in cli_outputs.INVOCATIONS} == set(_HANDLERS)
     assert labels.index("exact") < labels.index("w2")
+    # the exact oracles run on a mixed and on an odd pure degree too
+    kinds = {label: argv for label, argv in cli_outputs.INVOCATIONS}
+    assert kinds["exact-mixed"][0] == kinds["exact-odd"][0] == "exact"
+    assert kinds["chaos-mixed"][0] == "chaos"
 
 
 def test_run_all_logs_exit_code_and_stderr(tmp_path):

@@ -630,3 +630,61 @@ class TestSpinEnumeration:
         np.testing.assert_array_equal(X[0], [-1, -1, -1])
         np.testing.assert_array_equal(X[1], [1, -1, -1])
         assert np.all(np.abs(X) == 1)
+
+
+class TestHamiltonianTable:
+    """The Walsh-Hadamard table against the kernel, its reference."""
+
+    @staticmethod
+    def _check(g):
+        want = hamiltonian(g, all_spins(g.n))
+        got = disorder.hamiltonian_table(g)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "mixture, n", [({"2": 1.0}, 1), ({"2": 1.0}, 2), ({"2": 1.0}, 9), ({"3": 1.0}, 1),
+                       ({"3": 1.0}, 7)],
+    )
+    def test_matches_kernel_pure(self, mixture, n):
+        self._check(gen_random(MixtureSpec.from_dict(mixture), n, seed=3))
+
+    def test_matches_kernel_mixed_instances(self, mixed):
+        n = 10
+        g0, g1 = gen_random(mixed, n, seed=4), gen_random(mixed, n, seed=5)
+        x = np.where(np.arange(n) % 3 == 0, 1.0, -1.0)
+        for g in (g0, gen_planted(mixed, n, 0.8, x, seed=6), interpolate(g0, g1, 0.6)):
+            self._check(g)
+
+    def test_exact_gibbs_leaves_instance_unpacked(self, mixed):
+        from glasslocal.baselines import exact_gibbs
+
+        g = gen_random(mixed, 8, seed=2)
+        exact_gibbs(g, 0.5)
+        assert g._cache is None
+
+    @staticmethod
+    def _peak_bytes(fn):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_below_one_tensor(self):
+        # past the dense-tensor cap of `gen_random`, so built by hand
+        T = np.random.default_rng(0).standard_normal((8,) * 7)
+        g = DisorderTensors(n=8, spec=MixtureSpec.from_dict({"7": 1.0}), tensors={7: T}, seed=0)
+        assert self._peak_bytes(lambda: disorder.hamiltonian_table(g)) < T.nbytes  # 16.8 MB
+
+    def test_cap_before_allocation(self, sk):
+        g = gen_random(sk, disorder.ENUMERATION_CAP + 1, seed=0)
+
+        def table():
+            with pytest.raises(ValueError, match="enumeration cap exceeded"):
+                disorder.hamiltonian_table(g)
+
+        assert self._peak_bytes(table) < 8 * 2**g.n // 16

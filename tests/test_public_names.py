@@ -21,3 +21,11 @@ def test_each_name_has_one_home():
         for attr in importlib.import_module(name).__all__:
             homes.setdefault(attr, []).append(name)
     assert {attr: mods for attr, mods in homes.items() if len(mods) > 1} == {}
+
+
+def test_quadrature_rule_is_built_on_first_use():
+    # the rule is a cached function, not arrays built at import
+    from glasslocal import scalar
+
+    assert "gh_rule" in scalar.__all__
+    assert not any(hasattr(scalar, name) for name in ("GH_NODES", "GH_WEIGHTS"))

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,15 +9,39 @@ from scipy.integrate import quad
 
 from glasslocal import mutual_info_scalar, phi, psi, psi_prime
 from glasslocal import scalar
-from glasslocal.scalar import GH_NODES, GH_WEIGHTS
+from glasslocal.scalar import gh_rule
 
 
 class TestQuadratureRule:
     def test_moments(self):
-        w, z = GH_WEIGHTS, GH_NODES
+        z, w = gh_rule()
         assert abs(w.sum() - 1.0) <= 1e-12
         assert abs(w @ z) <= 1e-12
         assert abs(w @ z**2 - 1.0) <= 1e-10
+
+    def test_rule_is_hermegauss_bitwise(self):
+        z, w = gh_rule()
+        z_ref, w_ref = np.polynomial.hermite_e.hermegauss(301)
+        assert z.tobytes() == z_ref.tobytes()
+        assert w.tobytes() == (w_ref / math.sqrt(2.0 * math.pi)).tobytes()
+        assert gh_rule()[0] is z and not (z.flags.writeable or w.flags.writeable)
+
+    def test_not_built_by_import_or_exact(self, tmp_path):
+        # a fresh process: the rule is built on first use, and neither the
+        # CLI's import nor `exact`, which never integrates over Z, uses it
+        src = os.path.dirname(os.path.dirname(scalar.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import glasslocal.cli as cli; from glasslocal.scalar import gh_rule\n"
+            "sizes = [gh_rule.cache_info().currsize]\n"
+            "assert cli.main(['exact', '--n', '6', '--out', 'e.csv']) == 0\n"
+            "sizes.append(gh_rule.cache_info().currsize)\n"
+            "print(sizes)"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[0, 0]"
 
     def test_default_rule_converged(self):
         # one-off verification of the default rule against an independent
@@ -88,8 +115,8 @@ class TestPsi:
     def test_tanh_square_identity(self):
         # E tanh = E tanh^2 on this channel; both forms agree numerically
         for g in (0.3, 1.0, 5.0):
-            v = g + math.sqrt(g) * GH_NODES
-            sq = np.tanh(v) ** 2 @ GH_WEIGHTS
+            z, w = gh_rule()
+            sq = np.tanh(g + math.sqrt(g) * z) ** 2 @ w
             assert psi(g) == pytest.approx(sq, abs=1e-8)
 
     def test_domain(self):

@@ -11,13 +11,16 @@ every entry of INVOCATIONS runs as
     glasslocal KIND ARGS... --out LABEL.out
 
 from that side's `src/`.  The list is the one acceptance criterion 13 runs,
-plus `thresholds` on the {2: .5, 3: .7, 4: .2} mixture and on the pure
-degree p = 50, `se` on that mixture above its beta1 (so the beta1 warning
-shows in the log), and `glauber` on that mixture and on the pure odd degree
-p = 3.  Every file the runs leave is compared: results, `<out>.config.json`
-echoes, and LABEL.log, which holds each run's exit code and stderr.  Each
-is reported as identical or moved, with the first line that differs.  The
-exit status is 0 when every file is identical and 1 otherwise.
+plus these on the {2: .5, 3: .7, 4: .2} mixture and on pure degrees:
+`thresholds` on the mixture and on p = 50; `se` on the mixture above its
+beta1, so the beta1 warning shows in the log; `glauber` on the mixture and
+on the odd degree p = 3; and, so that the exact oracles see mixed and odd
+degrees, `exact` and `chaos` on the mixture at n = 12 (the oracle
+benchmark's shape) and `exact` on p = 3 at n = 7.  Every file the runs
+leave is compared: results, `<out>.config.json` echoes, and LABEL.log,
+which holds each run's exit code and stderr.  Each is reported as
+identical or moved, with the first line that differs.  The exit status is
+0 when every file is identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -48,6 +51,14 @@ INVOCATIONS = [
         "--set", "sampler.replicas=3",
     ]),
     ("exact", ["exact", "--n", "6", "--beta", "0.2", "--seed", "4", "--set", "exact.m_samples=20"]),
+    ("exact-mixed", [
+        "exact", "--n", "12", "--mixture", '{"2": 0.5, "3": 0.7, "4": 0.2}', "--beta", "0.25",
+        "--seed", "1", "--set", "exact.m_samples=80",
+    ]),
+    ("exact-odd", [
+        "exact", "--n", "7", "--mixture", '{"3": 1.0}', "--beta", "1.0", "--seed", "2",
+        "--set", "exact.m_samples=40",
+    ]),
     ("glauber", [
         "glauber", "--n", "5", "--beta", "0.2", "--seed", "5",
         "--set", "glauber.sweeps=20", "--set", "glauber.burn_in=5",
@@ -66,6 +77,11 @@ INVOCATIONS = [
         "chaos", "--n", "6", "--beta", "0.5", "--seed", "0",
         "--set", "chaos.s_list=[0.0,0.5]", "--set", "chaos.n_seeds=2",
         "--set", "chaos.batch_size=20",
+    ]),
+    ("chaos-mixed", [
+        "chaos", "--n", "12", "--mixture", '{"2": 0.5, "3": 0.7, "4": 0.2}', "--beta", "0.25",
+        "--seed", "1", "--set", "chaos.s_list=[0.5]", "--set", "chaos.n_seeds=1",
+        "--set", "chaos.batch_size=200",
     ]),
     ("stability", [
         "stability", "--n", "6", "--beta", "0.2", "--seed", "0",
