@@ -15,6 +15,7 @@ import numpy as np
 from . import rng
 from .disorder import (
     DisorderTensors,
+    _decode_spins,
     _flip_field,
     _logsumexp,
     all_spins,
@@ -108,8 +109,7 @@ def exact_sample(dist: ExactGibbs, M: int, seed: int) -> SampleBatch:
     cdf[-1] = 1.0
     u = rng.stream(seed, "exact-sample").uniform(size=M)
     idx = np.searchsorted(cdf, u, side="right")
-    X = all_spins(dist.n)
-    return SampleBatch(spins=X[idx], provenance="exact", seed=seed)
+    return SampleBatch(spins=_decode_spins(idx, dist.n), provenance="exact", seed=seed)
 
 
 def glauber_run(

@@ -165,10 +165,15 @@ def _cmd_se(cfg: dict) -> None:
 
 def _cmd_amp(cfg: dict) -> None:
     beta, t, K = cfg["beta"], cfg["amp"]["t"], cfg["amp"]["k"]
-    if cfg["amp"]["planted"] and cfg.get("tensor_file"):
-        msg = "a tensor file does not store the planted x, so the MSE is undefined"
-        raise ConfigError(f"config field 'amp/planted': {msg}; set amp.planted=false")
     if cfg["amp"]["planted"]:
+        if cfg.get("tensor_file"):
+            msg = "a tensor file does not store the planted x, so the MSE is undefined"
+            raise ConfigError(f"config field 'amp/planted': {msg}; set amp.planted=false")
+        if cfg["gen"]["mode"] == "planted":
+            msg = "amp plants its own instance at beta and would ignore gen.mode=\"planted\""
+            raise ConfigError(
+                f"config field 'amp/planted': {msg}; set amp.planted=false to plant through gen"
+            )
         spec = MixtureSpec.from_dict(cfg["mixture"])
         g = gen_planted(spec, cfg["n"], beta, _planted_x(cfg), cfg["seed"])
     else:
@@ -360,9 +365,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _loads(text: str, source: str, hint: str = ""):
+    """Parse JSON `text`; a malformed one is a ConfigError naming `source`."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{source}: malformed JSON ({e}){hint}") from None
+
+
 def _apply_overrides(cfg: dict, args) -> dict:
     if args.mixture is not None:
-        cfg["mixture"] = json.loads(args.mixture)
+        cfg["mixture"] = _loads(args.mixture, "--mixture")
     for key in _FLAG_KEYS:
         val = getattr(args, key, None)
         if val is not None:
@@ -372,7 +385,8 @@ def _apply_overrides(cfg: dict, args) -> dict:
             raise ConfigError(f"--set expects SECTION.KEY=VALUE, got {item!r}")
         path, raw = item.split("=", 1)
         section, key = path.split(".", 1)
-        cfg.setdefault(section, {})[key] = json.loads(raw)
+        hint = '; string values need JSON quotes, e.g. --set \'gen.mode="planted"\''
+        cfg.setdefault(section, {})[key] = _loads(raw, f"--set {item!r}", hint)
     return cfg
 
 
@@ -396,7 +410,7 @@ def _run(args) -> int:
         cfg = {}
         if args.config:
             with open(args.config) as f:
-                cfg = json.load(f)
+                cfg = _loads(f.read(), f"--config {args.config!r}")
         if "kind" in cfg and cfg["kind"] != args.kind:
             raise ConfigError(f"config field 'kind': {cfg['kind']!r} != subcommand {args.kind!r}")
         cfg["kind"] = args.kind

@@ -368,12 +368,16 @@ def _check_enumeration(n: int) -> None:
         raise ValueError(f"enumeration cap exceeded: n={n} > {ENUMERATION_CAP}")
 
 
+def _decode_spins(b: np.ndarray, n: int) -> np.ndarray:
+    """Rows of `all_spins(n)` at configuration indices b, decoded from the bits."""
+    bits = (np.asarray(b, dtype=np.uint32)[:, None] >> np.arange(n, dtype=np.uint32)) & 1
+    return 2.0 * bits.astype(float) - 1.0
+
+
 def all_spins(n: int) -> np.ndarray:
     """All 2^n spin configurations; row b has x_i = 2*bit_i(b) - 1."""
     _check_enumeration(n)
-    b = np.arange(2**n, dtype=np.uint32)
-    bits = (b[:, None] >> np.arange(n, dtype=np.uint32)) & 1
-    return 2.0 * bits.astype(float) - 1.0
+    return _decode_spins(np.arange(2**n, dtype=np.uint32), n)
 
 
 def hamiltonian_table(g: DisorderTensors) -> np.ndarray:

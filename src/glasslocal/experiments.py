@@ -17,6 +17,7 @@ from .baselines import _check_batch_size, empirical_w2, exact_gibbs, exact_sampl
 from .disorder import gen_random, interpolate
 from .localization import SamplerParams, sample
 from .mixture import MixtureSpec
+from .state_evolution import q_schedule
 
 __all__ = ["chaos_experiment", "stability_experiment"]
 
@@ -66,34 +67,28 @@ def stability_experiment(
     params: SamplerParams,
     seeds,
     n_replicas: int = 8,
-    beta_prime_list=None,
 ) -> list[dict]:
-    """Output sensitivity of the sampler under coupled perturbations.
+    """Output sensitivity of the sampler under coupled disorder perturbations.
 
-    For each s (disorder mode) or beta' (temperature mode, when
-    `beta_prime_list` is given) the sampler runs on the base and perturbed
-    instances with identical omega; rows report the mean squared spin
-    distance (1/n) E||x0 - xs||^2 and its mean-vector analogue.
+    For each s the sampler runs on G_0 and G_s with identical omega and one
+    shared q schedule; rows report the mean squared spin distance
+    (1/n) E||x0 - xs||^2 and its mean-vector analogue.
     """
-    temperature_mode = beta_prime_list is not None
-    values = list(beta_prime_list) if temperature_mode else list(s_list)
+    q_values = q_schedule(spec, beta, params.delta, params.L)
     rows = []
     for seed in seeds:
         g0 = gen_random(spec, n, int(seed))
         g1 = gen_random(spec, n, int(seed) + 1_000_003)
         base = replace(params, beta=beta, seed=int(seed))
-        run0 = sample(g0, base, n_replicas=n_replicas)
-        for v in values:
-            if temperature_mode:
-                g_pert, pert = g0, replace(base, beta=float(v))
-            else:
-                g_pert, pert = interpolate(g0, g1, float(v)), base
-            run_s = sample(g_pert, pert, n_replicas=n_replicas)
+        run0 = sample(g0, base, n_replicas=n_replicas, q_values=q_values)
+        for s in s_list:
+            gs = interpolate(g0, g1, float(s))
+            run_s = sample(gs, base, n_replicas=n_replicas, q_values=q_values)
             dx = run0.x_alg - run_s.x_alg
             dm = run0.mean_final - run_s.mean_final
             rows.append(
                 {
-                    ("beta_prime" if temperature_mode else "s"): float(v),
+                    "s": float(s),
                     "seed": int(seed),
                     "spin_distance": float(np.mean(np.sum(dx**2, axis=-1)) / n),
                     "mean_distance": float(np.mean(np.sum(dm**2, axis=-1)) / n),

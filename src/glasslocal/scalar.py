@@ -41,11 +41,8 @@ _LOG2 = math.log(2.0)
 #: Nodes of the one Gauss-Hermite rule (see `gh_rule`).
 GH_POINTS = 301
 
-#: phi: 45 bisection steps narrow the bracket to ~1e-14 relative, then Newton
-#: polishes to |psi(phi(q)) - q| <= PHI_TOL within PHI_NEWTON_STEPS.
-PHI_TOL = 1e-11
-PHI_BISECTIONS = 45
-PHI_NEWTON_STEPS = 155
+#: phi bisects its bracket [0, hi] this many times, to width hi / 2^60.
+PHI_BISECTIONS = 60
 
 
 @lru_cache(maxsize=1)
@@ -122,8 +119,8 @@ def psi_prime(gamma):
 def phi(q):
     """Inverse of psi: the gamma >= 0 with psi(gamma) = q, for q in [0, 1).
 
-    Bracketing bisection followed by Newton polishing with psi'; converged to
-    |psi(phi) - q| <= PHI_TOL.  Accepts scalars or arrays.
+    Bracket doubling, then PHI_BISECTIONS bisections of [0, hi].  Accepts
+    scalars or arrays.
     """
     q_arr = np.asarray(q, dtype=float)
     if not np.all((q_arr >= 0) & (q_arr < 1)):
@@ -145,15 +142,6 @@ def phi(q):
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     g = 0.5 * (lo + hi)
-    for _ in range(PHI_NEWTON_STEPS):
-        resid = psi(g) - qv
-        if np.max(np.abs(resid)) <= PHI_TOL:
-            break
-        d = psi_prime(g)
-        g_new = g - resid / d
-        g = np.where(g_new >= 0, g_new, 0.5 * g)
-    else:
-        raise RuntimeError("phi: root finding did not converge")
     g[qv == 0.0] = 0.0
     return g.reshape(q_arr.shape)[()]
 

@@ -102,10 +102,8 @@ def _ftap(g: DisorderTensors, U, M, params: TapParams, ons_q, b, work=None):
     dval, (h, kscratch, t, a, log_a) = _ftap_work(g, len(M)) if work is None else work
     _kernel(g, M, (h, dval, kscratch))  # dval holds grad H until the terms below
     Q = np.sum(np.multiply(M, M, out=t), axis=-1) / n
-    # a per-row (rows, n) tilt, as the sampler passes, or a shared (n,) one;
-    # the shared one keeps its BLAS dot, whose bits `glasslocal tap` reports
-    y = params.y
-    tilt = np.sum(np.multiply(M, y, out=t), axis=-1) if y.ndim > 1 else M @ y
+    y = params.y  # (n,) shared by every row, or (rows, n) per row
+    tilt = np.sum(np.multiply(M, y, out=t), axis=-1)
     val = (
         -beta * h
         - tilt

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from glasslocal import (
     partition_rescaled,
 )
 from glasslocal import baselines, rng
-from glasslocal.baselines import SampleBatch, _assign
+from glasslocal.baselines import ExactGibbs, SampleBatch, _assign
 from glasslocal.disorder import DisorderTensors, _flip_field, all_spins, gen_planted
 
 
@@ -84,6 +85,28 @@ class TestExactSample:
         y = 50.0 * np.ones(5)
         batch = exact_sample(exact_gibbs(g, 0.1, y), 64, seed=2)
         np.testing.assert_array_equal(batch.spins, np.ones((64, 5)))
+
+    def test_decodes_drawn_indices(self, sk):
+        dist = exact_gibbs(gen_random(sk, 8, seed=6), 0.7)
+        M = 50
+        u = rng.stream(9, "exact-sample").uniform(size=M)
+        idx = np.searchsorted(np.cumsum(np.exp(dist.log_weights)), u, side="right")
+        np.testing.assert_array_equal(exact_sample(dist, M, seed=9).spins, all_spins(8)[idx])
+
+    def test_no_cube_at_the_cap(self):
+        # the 2^20 x 20 cube alone would take 168 MB; the CDF takes 2 x 8 MB
+        n = 20
+        logw = np.full(2**n, -n * math.log(2.0))
+        dist = ExactGibbs(n=n, beta=0.0, y=np.zeros(n), log_weights=logw, log_z=0.0,
+                          mean=np.zeros(n), cov=np.eye(n))
+        tracemalloc.start()
+        try:
+            batch = exact_sample(dist, 200, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch.spins.shape == (200, n)
+        assert peak < 40e6
 
     def test_chi_square_goodness_of_fit(self, sk):
         # n = 4, 1e5 draws vs the exact table at the 1% level

@@ -196,6 +196,41 @@ class TestSubcommands:
         flags = ["--set", "amp.planted=false", "--set", "amp.k=2", "--out", str(out)]
         assert run_cli("amp", "--tensor-file", str(path), *flags) == 0
 
+    def test_amp_planted_conflicts_with_gen_planting(self, tmp_path, capsys):
+        out = tmp_path / "amp.csv"
+        flags = [
+            "--n", "50", "--beta", "0.4", "--seed", "1", "--set", "amp.k=2",
+            "--set", 'gen.mode="planted"', "--set", "gen.planted_beta=2.0", "--out", str(out),
+        ]
+        assert run_cli("amp", *flags) == 2
+        err = capsys.readouterr().err
+        assert "amp/planted" in err and "amp.planted=false" in err
+        assert list(tmp_path.iterdir()) == []
+        assert run_cli("amp", *flags, "--set", "amp.planted=false") == 0
+        lines = out.read_text().strip().split("\n")
+        assert lines[0].split(",")[2:4] == ["mse_empirical", "mse_predicted"]
+        for line in lines[1:]:
+            assert np.all(np.isfinite([float(v) for v in line.split(",")[2:4]]))
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--set", "gen.mode=planted"], "--set 'gen.mode=planted'"),
+            (["--mixture", "{2: 0.5}"], "--mixture"),
+            (["--config", "CONFIG"], "--config 'CONFIG'"),
+        ],
+        ids=["set", "mixture", "config"],
+    )
+    def test_malformed_json_input_named(self, tmp_path, capsys, flags, named):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"kind": "se", "beta": 0.')
+        flags = [f.replace("CONFIG", str(path)) for f in flags]
+        assert run_cli("se", *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " + named.replace("CONFIG", str(path)))
+        assert "malformed JSON" in err
+        assert ("JSON quotes" in err) == (flags[0] == "--set")
+
     @pytest.mark.parametrize(
         "raw, match",
         [

@@ -54,6 +54,8 @@ def test_invocations_cover_every_subcommand():
     kinds = {label: argv for label, argv in cli_outputs.INVOCATIONS}
     assert kinds["exact-mixed"][0] == kinds["exact-odd"][0] == "exact"
     assert kinds["chaos-mixed"][0] == "chaos"
+    assert kinds["amp-gen-planted"][0] == "amp" and "amp.planted=false" in kinds["amp-gen-planted"]
+    assert kinds["stability-mixed"][0] == "stability"
 
 
 def test_run_all_logs_exit_code_and_stderr(tmp_path):

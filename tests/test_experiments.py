@@ -78,17 +78,18 @@ class TestStability:
         rho = spearmanr(s_vals, mean_curve).statistic
         assert rho > 0
 
-    def test_temperature_identity(self, sk, stability_params):
-        rows = stability_experiment(
-            sk, 8, 0.25, [], stability_params, seeds=[5], n_replicas=4, beta_prime_list=[0.25]
-        )
-        assert rows[0]["beta_prime"] == 0.25
-        assert rows[0]["spin_distance"] == 0.0
-        assert rows[0]["mean_distance"] == 0.0
+    def test_one_q_schedule_per_call(self, sk, monkeypatch):
+        from glasslocal import experiments, localization, state_evolution
 
-    def test_temperature_perturbation_small(self, sk, stability_params):
-        rows = stability_experiment(
-            sk, 8, 0.25, [], stability_params, seeds=[5], n_replicas=4, beta_prime_list=[0.26, 0.5]
-        )
-        d = {r["beta_prime"]: r["mean_distance"] for r in rows}
-        assert d[0.26] <= d[0.5]
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return state_evolution.q_schedule(*args)
+
+        for module in (experiments, localization):
+            monkeypatch.setattr(module, "q_schedule", counted, raising=False)
+        params = SamplerParams(beta=0.2, delta=0.25, L=2, k_amp=2, k_ngd=2, seed=0)
+        rows = stability_experiment(sk, 4, 0.2, [0.0, 0.5, 1.0], params, seeds=[0, 1], n_replicas=2)
+        assert len(rows) == 6
+        assert len(calls) == 1

@@ -158,6 +158,12 @@ class TestPhi:
     def test_inverse_identity(self, q):
         assert psi(phi(q)) == pytest.approx(q, abs=1e-10)
 
+    def test_bisection_resolution(self):
+        # criterion 02's grid; 60 halvings of [0, 1] leave a width of 8.7e-19
+        qs = np.linspace(0.0, 0.99, 100)
+        assert np.max(np.abs(psi(phi(qs)) - qs)) <= 1e-15
+        assert abs(phi(1e-12) - 1e-12) <= 1e-18
+
     def test_convex(self):
         qs = np.linspace(0.01, 0.95, 95)
         vals = phi(qs)

@@ -14,9 +14,11 @@ from that side's `src/`.  The list is the one acceptance criterion 13 runs,
 plus these on the {2: .5, 3: .7, 4: .2} mixture and on pure degrees:
 `thresholds` on the mixture and on p = 50; `se` on the mixture above its
 beta1, so the beta1 warning shows in the log; `glauber` on the mixture and
-on the odd degree p = 3; and, so that the exact oracles see mixed and odd
+on the odd degree p = 3; so that the exact oracles see mixed and odd
 degrees, `exact` and `chaos` on the mixture at n = 12 (the oracle
-benchmark's shape) and `exact` on p = 3 at n = 7.  Every file the runs
+benchmark's shape) and `exact` on p = 3 at n = 7; and `stability` on the
+mixture, whose runs share one q schedule.  One more runs `amp` with
+`amp.planted=false` on an SK instance planted through `gen`.  Every file the runs
 leave is compared: results, `<out>.config.json` echoes, and LABEL.log,
 which holds each run's exit code and stderr.  Each is reported as
 identical or moved, with the first line that differs.  The exit status is
@@ -43,6 +45,10 @@ INVOCATIONS = [
     ("se", ["se", "--beta", "0.4", "--set", "se.t_max=0.5", "--set", "se.t_step=0.25"]),
     ("se-mixed", ["se", "--mixture", '{"2": 0.5, "3": 0.7, "4": 0.2}', "--beta", "0.9"]),
     ("amp", ["amp", "--n", "100", "--beta", "0.4", "--seed", "1", "--set", "amp.k=3"]),
+    ("amp-gen-planted", [
+        "amp", "--n", "60", "--beta", "0.4", "--seed", "1", "--set", "amp.k=3",
+        "--set", "amp.planted=false", "--set", 'gen.mode="planted"', "--set", "gen.planted_beta=0.4",
+    ]),
     ("tap", ["tap", "--n", "40", "--beta", "0.3", "--seed", "2", "--set", "tap.k_amp=5"]),
     ("sample", [
         "sample", "--n", "8", "--beta", "0.25", "--seed", "11",
@@ -89,6 +95,11 @@ INVOCATIONS = [
         "--set", "stability.replicas=2", "--set", "sampler.L=3",
         "--set", "sampler.delta=0.25", "--set", "sampler.k_amp=3",
         "--set", "sampler.k_ngd=5",
+    ]),
+    ("stability-mixed", [
+        "stability", "--n", "6", "--mixture", '{"2": 0.5, "3": 0.7, "4": 0.2}', "--beta", "0.2",
+        "--seed", "0", "--set", "stability.s_list=[0.0,0.5]", "--set", "stability.n_seeds=1",
+        "--set", "stability.replicas=2", "--set", "sampler.L=3",
     ]),
 ]
 # runs the CLI's entry point, as the `glasslocal` script does
