@@ -46,8 +46,6 @@ class ExactGibbs:
     2^n states (in `all_spins` order), log-partition, mean and covariance."""
 
     n: int
-    beta: float
-    y: np.ndarray
     log_weights: np.ndarray  # normalized: logsumexp == 0
     log_z: float
     mean: np.ndarray
@@ -56,11 +54,9 @@ class ExactGibbs:
 
 @dataclass
 class SampleBatch:
-    """M spin vectors with provenance; entries are +-1 floats."""
+    """M spin vectors; entries are +-1 floats."""
 
     spins: np.ndarray
-    provenance: str = "unknown"
-    seed: int = 0
 
     def __post_init__(self):
         s = self.spins = np.asarray(self.spins, dtype=float)
@@ -86,7 +82,7 @@ def exact_gibbs(g: DisorderTensors, beta: float, y: np.ndarray | None = None) ->
     w = np.exp(logw)
     mean = w @ X
     cov = (X * w[:, None]).T @ X - np.outer(mean, mean)
-    return ExactGibbs(n=n, beta=beta, y=y, log_weights=logw, log_z=log_z, mean=mean, cov=cov)
+    return ExactGibbs(n=n, log_weights=logw, log_z=log_z, mean=mean, cov=cov)
 
 
 def exact_mean_batch(g: DisorderTensors, beta: float, Y: np.ndarray) -> np.ndarray:
@@ -109,7 +105,7 @@ def exact_sample(dist: ExactGibbs, M: int, seed: int) -> SampleBatch:
     cdf[-1] = 1.0
     u = rng.stream(seed, "exact-sample").uniform(size=M)
     idx = np.searchsorted(cdf, u, side="right")
-    return SampleBatch(spins=_decode_spins(idx, dist.n), provenance="exact", seed=seed)
+    return SampleBatch(spins=_decode_spins(idx, dist.n))
 
 
 def glauber_run(
@@ -164,7 +160,7 @@ def glauber_run(
                 x[i] = new
         if sweep >= burn_in and (sweep - burn_in) % thin == 0:
             out.append(x.copy())
-    return SampleBatch(spins=np.array(out), provenance="glauber", seed=seed)
+    return SampleBatch(spins=np.array(out))
 
 
 def _check_pair(a: SampleBatch, b: SampleBatch) -> None:
@@ -306,4 +302,4 @@ def read_batch_bits(path) -> SampleBatch:
     row_bytes = (n + 7) // 8
     if raw.size == 0 or raw.size % row_bytes:
         raise ValueError(f"corrupt batch file: {raw.size} bytes are not whole rows of {row_bytes}")
-    return SampleBatch(spins=_unpack_spins(raw.reshape(-1, row_bytes), n), provenance="file")
+    return SampleBatch(spins=_unpack_spins(raw.reshape(-1, row_bytes), n))

@@ -35,7 +35,6 @@ from .baselines import (
 )
 from .config import ConfigError, CONFIG_SCHEMA, dump_config, resolve_config
 from .disorder import (
-    HESSIAN_CAP,
     DisorderTensors,
     gen_planted,
     gen_random,
@@ -194,11 +193,6 @@ def _cmd_amp(cfg: dict) -> None:
 def _cmd_tap(cfg: dict) -> None:
     beta, t = cfg["beta"], cfg["tap"]["t"]
     g = _load_tensors(cfg)
-    if cfg["tap"]["spectrum"] and g.n > HESSIAN_CAP:
-        raise ConfigError(
-            f"config field 'tap/spectrum': the spectrum needs a dense Hessian, capped at "
-            f"n = {HESSIAN_CAP}, and n = {g.n}; pass --set tap.spectrum=false"
-        )
     y = _tilt(cfg, g.n, t, g.meta.get("x"))
     # AMP's z is the natural parameter
     u = amp_run(g, y, beta, cfg["tap"]["k_amp"], keep_history=False)[-1].z
@@ -278,7 +272,7 @@ def _read_batch_csv(path: str) -> SampleBatch:
         if len(row) != len(header):
             raise ValueError(f"{path}: row {i} has {len(row)} fields, the header {len(header)}")
     col = header.index("x_bits_hex")
-    return SampleBatch(spins=_hex_to_spins([row[col] for row in rows], n), provenance="file")
+    return SampleBatch(spins=_hex_to_spins([row[col] for row in rows], n))
 
 
 def _read_batch(path: str) -> SampleBatch:

@@ -48,9 +48,6 @@ __all__ = [
 #: Reject instances with more than this many tensor entries in total.
 ENTRY_BUDGET = 200_000_000
 
-#: Dense Hessians are only assembled up to this dimension.
-HESSIAN_CAP = 512
-
 #: Exact enumeration (2^n states) is capped here.
 ENUMERATION_CAP = 20
 
@@ -338,8 +335,6 @@ def hessian(g: DisorderTensors, m: np.ndarray) -> np.ndarray:
     down to J_1 = I, one pass over contiguous segments per level: K n flops,
     and no array larger than the level below C_p is made.  The sum over
     degrees is symmetrized once at the end."""
-    if g.n > HESSIAN_CAP:
-        raise ValueError(f"Hessian cap exceeded: n={g.n} > {HESSIAN_CAP}")
     mv = np.asarray(m, dtype=float)
     if mv.shape != (g.n,):
         raise ValueError("hessian takes a single vector")

@@ -28,7 +28,7 @@ def chaos_experiment(
     beta: float,
     s_list,
     seeds,
-    batch_size: int = 200,
+    batch_size: int,
 ) -> list[dict]:
     """Cross-overlap and W2 statistics between mu_{G_0} and mu_{G_s}.
 
@@ -66,7 +66,7 @@ def stability_experiment(
     s_list,
     params: SamplerParams,
     seeds,
-    n_replicas: int = 8,
+    n_replicas: int,
 ) -> list[dict]:
     """Output sensitivity of the sampler under coupled disorder perturbations.
 

@@ -137,7 +137,7 @@ def ftap_grad(g: DisorderTensors, m: np.ndarray, params: TapParams):
 def _hessian_rest(g: DisorderTensors, mv: np.ndarray, params: TapParams) -> np.ndarray:
     """`ftap_hessian` less its entropy diagonal D(m), defined on [-1, 1]^n."""
     beta, q, gam = params.beta, params.q, params.gamma_reg
-    R = -beta * hessian(g, mv)  # enforces the size cap and rejects a batch
+    R = -beta * hessian(g, mv)  # rejects a batch
     R[np.diag_indices(g.n)] += onsager(g.spec, beta, q) + 0.5 * gam * beta * (mv @ mv / g.n - q)
     return R + (gam * beta / g.n) * np.outer(mv, mv)
 

@@ -121,7 +121,7 @@ def test_criterion_05_end_to_end_sampler(sk):
         for seed in range(5):
             g = gl.gen_random(sk, n, seed=100 + seed)
             run = gl.sample(g, params, n_replicas=M)
-            alg = SampleBatch(spins=np.atleast_2d(run.x_alg), provenance="algorithm")
+            alg = SampleBatch(spins=np.atleast_2d(run.x_alg))
             dist = gl.exact_gibbs(g, beta)
             ex1 = gl.exact_sample(dist, M, seed=2 * seed + 1)
             ex2 = gl.exact_sample(dist, M, seed=2 * seed + 2)

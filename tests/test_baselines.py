@@ -97,8 +97,7 @@ class TestExactSample:
         # the 2^20 x 20 cube alone would take 168 MB; the CDF takes 2 x 8 MB
         n = 20
         logw = np.full(2**n, -n * math.log(2.0))
-        dist = ExactGibbs(n=n, beta=0.0, y=np.zeros(n), log_weights=logw, log_z=0.0,
-                          mean=np.zeros(n), cov=np.eye(n))
+        dist = ExactGibbs(n=n, log_weights=logw, log_z=0.0, mean=np.zeros(n), cov=np.eye(n))
         tracemalloc.start()
         try:
             batch = exact_sample(dist, 200, seed=1)

@@ -56,6 +56,8 @@ def test_invocations_cover_every_subcommand():
     assert kinds["chaos-mixed"][0] == "chaos"
     assert kinds["amp-gen-planted"][0] == "amp" and "amp.planted=false" in kinds["amp-gen-planted"]
     assert kinds["stability-mixed"][0] == "stability"
+    # the default relative-Hessian spectrum at n = 600
+    assert kinds["tap-n600"][:3] == ["tap", "--n", "600"] and "tap.k_amp=3" in kinds["tap-n600"]
 
 
 def test_run_all_logs_exit_code_and_stderr(tmp_path):

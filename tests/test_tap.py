@@ -168,13 +168,14 @@ class TestCalculus:
 
 class TestRelativeHessian:
     def test_beta_zero_is_identity_metric(self, sk, gen):
-        g = gen_random(sk, 10, seed=9)
-        m = gen.uniform(-0.5, 0.5, 10)
-        q = float(m @ m) / 10
-        params = TapParams(beta=0.0, q=q, gamma_reg=0.0, y=np.zeros(10))
-        lo, hi = relative_hessian_extremes(g, m, params)
-        assert lo == pytest.approx(1.0, abs=1e-12)
-        assert hi == pytest.approx(1.0, abs=1e-12)
+        for n in (10, 600):
+            g = gen_random(sk, n, seed=9)
+            m = gen.uniform(-0.5, 0.5, n)
+            q = float(m @ m) / n
+            params = TapParams(beta=0.0, q=q, gamma_reg=0.0, y=np.zeros(n))
+            lo, hi = relative_hessian_extremes(g, m, params)
+            assert lo == pytest.approx(1.0, abs=1e-12)
+            assert hi == pytest.approx(1.0, abs=1e-12)
 
     def test_sk_lower_bound_probabilistic(self, sk):
         # min eigenvalue >= 1 - 2.2 beta in at least 95% of seeds

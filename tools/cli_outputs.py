@@ -18,7 +18,8 @@ on the odd degree p = 3; so that the exact oracles see mixed and odd
 degrees, `exact` and `chaos` on the mixture at n = 12 (the oracle
 benchmark's shape) and `exact` on p = 3 at n = 7; and `stability` on the
 mixture, whose runs share one q schedule.  One more runs `amp` with
-`amp.planted=false` on an SK instance planted through `gen`.  Every file the runs
+`amp.planted=false` on an SK instance planted through `gen`, and `tap-n600`
+runs `tap` with its default spectrum on SK at n = 600.  Every file the runs
 leave is compared: results, `<out>.config.json` echoes, and LABEL.log,
 which holds each run's exit code and stderr.  Each is reported as
 identical or moved, with the first line that differs.  The exit status is
@@ -50,6 +51,7 @@ INVOCATIONS = [
         "--set", "amp.planted=false", "--set", 'gen.mode="planted"', "--set", "gen.planted_beta=0.4",
     ]),
     ("tap", ["tap", "--n", "40", "--beta", "0.3", "--seed", "2", "--set", "tap.k_amp=5"]),
+    ("tap-n600", ["tap", "--n", "600", "--seed", "1", "--set", "tap.k_amp=3"]),
     ("sample", [
         "sample", "--n", "8", "--beta", "0.25", "--seed", "11",
         "--set", "sampler.L=4", "--set", "sampler.delta=0.25",
