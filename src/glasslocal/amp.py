@@ -16,7 +16,6 @@ kept, so an overflowed b_0 still gives a non-finite z^1.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +24,6 @@ from .disorder import DisorderTensors, _rows, grad
 from .mixture import onsager
 
 __all__ = ["AmpState", "amp_run"]
-
-logger = logging.getLogger(__name__)
-
-#: |z| is clamped here, which bounds NGD's starting point u0 = z.  (tanh(z)
-#: rounds to 1.0 from |z| ~ 19 on; NGD works in u and never inverts it.)
-Z_CLAMP = 40.0
 
 
 @dataclass
@@ -73,10 +66,6 @@ def amp_run(
         z = (beta * grad(g, m) + Y if k > 1 else Y) - b[:, None] * m_prev
         if not np.all(np.isfinite(z)):
             raise FloatingPointError(f"AMP produced a non-finite iterate at k={k}")
-        n_clamped = int(np.sum(np.abs(z) > Z_CLAMP))
-        if n_clamped:
-            logger.warning("AMP k=%d: clamped %d component(s) at |z|=%g", k, n_clamped, Z_CLAMP)
-            z = np.clip(z, -Z_CLAMP, Z_CLAMP)
         m_prev = m
         m = np.tanh(z)
         q_hat = np.mean(m**2, axis=-1)

@@ -94,8 +94,11 @@ def _hex_to_spins(fields: list[str], n: int) -> np.ndarray:
 
 
 def _spec(cfg: dict) -> MixtureSpec:
-    """The run's mixture: the config's, or else the tensor file's."""
-    return MixtureSpec.from_dict(cfg["mixture"]) if "mixture" in cfg else _load_tensors(cfg).spec
+    """The run's mixture: the tensor file's (a given `mixture` must be it), or
+    else the config's."""
+    if cfg.get("tensor_file"):
+        return _load_tensors(cfg).spec
+    return MixtureSpec.from_dict(cfg["mixture"])
 
 
 def _load_tensors(cfg: dict) -> DisorderTensors:

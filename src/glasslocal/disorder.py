@@ -131,7 +131,7 @@ def gen_planted(
         if scale != 0.0:
             g.tensors[p] = g.tensors[p] + scale * _power(x, p).reshape((n,) * p)
     g.kind = "planted"
-    g.meta = {"x": x.copy(), "beta": float(beta)}
+    g.meta = {"x": x.copy()}
     return g
 
 
@@ -155,7 +155,6 @@ def interpolate(g0: DisorderTensors, g1: DisorderTensors, s: float) -> DisorderT
         tensors=tensors,
         seed=g0.seed,
         kind="interpolated",
-        meta={"s": float(s), "parent_seeds": (g0.seed, g1.seed)},
     )
 
 

@@ -64,8 +64,6 @@ NOISE_FLOOR = 1e-12
 class SEProfile:
     """State-evolution trajectory and fixed point for one (beta, t) pair."""
 
-    beta: float
-    t: float
     q_sequence: np.ndarray  # q_0 .. q_K
     q_star: float
     gamma_star: float  # beta^2 xi'(q_star)
@@ -119,14 +117,7 @@ def se_recursion(spec: MixtureSpec, beta: float, t: float, K: int) -> SEProfile:
             break
         q = q_next
     gamma_star = beta * beta * float(spec.xi(q, order=1))
-    return SEProfile(
-        beta=beta,
-        t=t,
-        q_sequence=qs,
-        q_star=q,
-        gamma_star=gamma_star,
-        converged=converged,
-    )
+    return SEProfile(q_sequence=qs, q_star=q, gamma_star=gamma_star, converged=converged)
 
 
 def mse_prediction(profile: SEProfile, k: int) -> float:

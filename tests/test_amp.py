@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,20 @@ class TestAmpRun:
         for r in range(3):
             single = amp_run(g, Y[r], 0.4, K=5)[-1]
             np.testing.assert_allclose(batch.z[r], single.z, atol=1e-13)
+
+    def test_large_z_is_returned_unmodified(self, sk, gen, caplog):
+        # tanh(z) is exactly +-1 once |z| >= 18.99, so AMP's m never depends
+        # on a bound on z, and AMP hands NGD the z its recursion computes
+        g = gen_random(sk, 12, seed=7)
+        x = np.where(gen.uniform(size=12) < 0.5, -1.0, 1.0)
+        y = 60.0 * x + gen.standard_normal(12)
+        with caplog.at_level(logging.DEBUG):
+            traj = amp_run(g, y, 0.5, K=3, keep_history=True)
+        np.testing.assert_array_equal(traj[0].z, y)
+        assert np.max(np.abs(traj[0].z)) > 40.0
+        for st in traj:
+            np.testing.assert_array_equal(st.m_hat, np.tanh(st.z))
+        assert [r for r in caplog.records if r.name == "glasslocal.amp"] == []
 
     def test_keep_history_flag(self, sk, gen):
         g = gen_random(sk, 8, seed=6)

@@ -615,31 +615,50 @@ def test_cli_import_loads_no_jsonschema():
     assert out.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("args", [["thresholds"], ["se", "--beta", "0.2"]], ids=["th", "se"])
-def test_high_degree_writes_no_stderr(tmp_path, args):
-    # a fresh process: no cached beta1 and no pytest warning capture hide a leak
+def _run_fresh(tmp_path, *args):
+    """The CLI in a fresh process inside `tmp_path`, writing r.out: no cached
+    beta1 and no pytest warning or log capture hide what reaches stderr."""
     src = os.path.dirname(os.path.dirname(glasslocal.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys; from glasslocal.cli import main; sys.exit(main(sys.argv[1:]))"
-    argv = [sys.executable, "-c", code, *args, "--mixture", '{"50": 1.0}', "--out", "r.out"]
-    out = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True, text=True)
+    argv = [sys.executable, "-c", code, *args, "--out", "r.out"]
+    return subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("args", [["thresholds"], ["se", "--beta", "0.2"]], ids=["th", "se"])
+def test_high_degree_writes_no_stderr(tmp_path, args):
+    out = _run_fresh(tmp_path, *args, "--mixture", '{"50": 1.0}')
     assert out.returncode == 0 and out.stderr == ""
 
 
 def test_beta1_warning_has_no_source_line(tmp_path):
     # the warning names no file or line of the CLI, so the log does not
     # move when code above the call moves
-    src = os.path.dirname(os.path.dirname(glasslocal.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys; from glasslocal.cli import main; sys.exit(main(sys.argv[1:]))"
-    argv = [sys.executable, "-c", code, "se", "--mixture", '{"2": 0.5, "3": 0.7, "4": 0.2}',
-            "--beta", "0.9", "--out", "r.out"]
-    out = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True, text=True)
+    out = _run_fresh(tmp_path, "se", "--mixture", '{"2": 0.5, "3": 0.7, "4": 0.2}', "--beta", "0.9")
     assert out.returncode == 0
     assert out.stderr == (
         "warning: psi_star evaluated at beta=0.9 >= beta1; the fixed point may not be unique\n"
     )
     assert ".py:" not in out.stderr
+
+
+def test_amp_reports_large_z_moving(tmp_path):
+    # at t = 60 the z of AMP exceeds 40 in size; it is AMP's own iterate, so
+    # it moves between iterations, and nothing reaches stderr
+    out = _run_fresh(tmp_path, "amp", "--n", "100", "--beta", "0.4", "--seed", "1",
+                     "--set", "amp.k=3", "--set", "amp.t=60")
+    assert out.returncode == 0 and out.stderr == ""
+    rows = (tmp_path / "r.out").read_text().strip().split("\n")
+    assert rows[0].split(",")[-1] == "z_increment_ratio"
+    assert rows[1].split(",")[0] == "1" and float(rows[1].split(",")[-1]) > 0.0
+
+
+def test_sample_at_long_horizon_writes_no_stderr(tmp_path):
+    # T = 40: the tilt drives |z| past 40 at the late steps
+    out = _run_fresh(tmp_path, "sample", "--n", "10", "--beta", "0.25", "--seed", "3",
+                     "--set", "sampler.L=800", "--set", "sampler.replicas=4")
+    assert out.returncode == 0 and out.stderr == ""
+    assert len((tmp_path / "r.out").read_text().strip().split("\n")) == 5
 
 
 class TestConfigFromCli:
@@ -711,6 +730,25 @@ class TestTensorFileMixture:
         err = capsys.readouterr().err
         assert "config field 'mixture'" in err and "tensor file" in err
         assert not out.exists()
+
+    SPEC_ONLY = {  # kinds that read only the mixture from a tensor file
+        "thresholds": [],
+        "se": ["--beta", "0.3", "--set", "se.t_max=0.25"],
+        "chaos": ["--set", "chaos.s_list=[0.5]", "--set", "chaos.n_seeds=1",
+                  "--set", "chaos.batch_size=10"],
+        "stability": ["--set", "stability.s_list=[0.5]", "--set", "stability.n_seeds=1",
+                      "--set", "stability.replicas=2", "--set", "sampler.L=3"],
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SPEC_ONLY))
+    def test_spec_only_kinds_reject_a_conflict(self, path, tmp_path, capsys, kind):
+        out = tmp_path / "r.out"
+        args = (kind, "--tensor-file", str(path), *self.SPEC_ONLY[kind], "--out", str(out))
+        assert run_cli(*args, "--mixture", '{"2": 0.5}') == 2
+        err = capsys.readouterr().err
+        assert "config field 'mixture'" in err and "tensor file" in err
+        assert not out.exists()
+        assert run_cli(*args) == 0
 
     def test_no_default_mixture_beside_a_file(self):
         assert "mixture" not in resolve_config({"kind": "sample", "tensor_file": "t.gltn"})

@@ -58,6 +58,9 @@ def test_invocations_cover_every_subcommand():
     assert kinds["stability-mixed"][0] == "stability"
     # the default relative-Hessian spectrum at n = 600
     assert kinds["tap-n600"][:3] == ["tap", "--n", "600"] and "tap.k_amp=3" in kinds["tap-n600"]
+    # AMP's z past |z| = 40, in `amp` at t = 60 and in `sample` to T = 40
+    assert kinds["amp-t60"][0] == "amp" and "amp.t=60" in kinds["amp-t60"]
+    assert kinds["sample-T40"][0] == "sample" and "sampler.L=800" in kinds["sample-T40"]
 
 
 def test_run_all_logs_exit_code_and_stderr(tmp_path):

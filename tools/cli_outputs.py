@@ -19,7 +19,9 @@ degrees, `exact` and `chaos` on the mixture at n = 12 (the oracle
 benchmark's shape) and `exact` on p = 3 at n = 7; and `stability` on the
 mixture, whose runs share one q schedule.  One more runs `amp` with
 `amp.planted=false` on an SK instance planted through `gen`, and `tap-n600`
-runs `tap` with its default spectrum on SK at n = 600.  Every file the runs
+runs `tap` with its default spectrum on SK at n = 600.  Two drive AMP's z
+past |z| = 40: `amp-t60` runs `amp` at t = 60, and `sample-T40` runs
+`sample` to T = 40 (L = 800).  Every file the runs
 leave is compared: results, `<out>.config.json` echoes, and LABEL.log,
 which holds each run's exit code and stderr.  Each is reported as
 identical or moved, with the first line that differs.  The exit status is
@@ -46,6 +48,8 @@ INVOCATIONS = [
     ("se", ["se", "--beta", "0.4", "--set", "se.t_max=0.5", "--set", "se.t_step=0.25"]),
     ("se-mixed", ["se", "--mixture", '{"2": 0.5, "3": 0.7, "4": 0.2}', "--beta", "0.9"]),
     ("amp", ["amp", "--n", "100", "--beta", "0.4", "--seed", "1", "--set", "amp.k=3"]),
+    ("amp-t60", ["amp", "--n", "100", "--beta", "0.4", "--seed", "1", "--set", "amp.k=3",
+                 "--set", "amp.t=60"]),
     ("amp-gen-planted", [
         "amp", "--n", "60", "--beta", "0.4", "--seed", "1", "--set", "amp.k=3",
         "--set", "amp.planted=false", "--set", 'gen.mode="planted"', "--set", "gen.planted_beta=0.4",
@@ -57,6 +61,10 @@ INVOCATIONS = [
         "--set", "sampler.L=4", "--set", "sampler.delta=0.25",
         "--set", "sampler.k_amp=5", "--set", "sampler.k_ngd=8",
         "--set", "sampler.replicas=3",
+    ]),
+    ("sample-T40", [
+        "sample", "--n", "10", "--beta", "0.25", "--seed", "3",
+        "--set", "sampler.L=800", "--set", "sampler.replicas=4",
     ]),
     ("exact", ["exact", "--n", "6", "--beta", "0.2", "--seed", "4", "--set", "exact.m_samples=20"]),
     ("exact-mixed", [
