@@ -49,8 +49,6 @@ from .localization import (
 )
 from .baselines import (
     ExactGibbs,
-    read_batch_bits,
-    write_batch_bits,
     SampleBatch,
     empirical_w2,
     exact_gibbs,

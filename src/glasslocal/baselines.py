@@ -31,12 +31,10 @@ __all__ = [
     "glauber_run",
     "empirical_w2",
     "overlap_moment",
-    "write_batch_bits",
-    "read_batch_bits",
 ]
 
 #: `empirical_w2` takes at most this many samples per batch; the batch
-#: readers check it before they decode.
+#: file reader checks it before it decodes.
 W2_BATCH_CAP = 2000
 
 
@@ -163,6 +161,11 @@ def glauber_run(
     return SampleBatch(spins=np.array(out))
 
 
+def _check_batch_size(N: int) -> None:
+    if N > W2_BATCH_CAP:
+        raise ValueError(f"batch size {N} exceeds the cap {W2_BATCH_CAP}")
+
+
 def _check_pair(a: SampleBatch, b: SampleBatch) -> None:
     if len(a) == 0 or len(b) == 0:
         raise ValueError("batches must be nonempty")
@@ -257,49 +260,3 @@ def overlap_moment(a: SampleBatch, b: SampleBatch) -> float:
     n = a.spins.shape[1]
     return float((((a.spins @ b.spins.T) / n) ** 2).mean())
 
-
-# --- batch serialization: u32 n header, then per sample ceil(n/8) bytes of
-# packed sign bits (bit 1 = +1, most significant bit first per byte) --------
-
-
-def _pack_spins(spins: np.ndarray) -> np.ndarray:
-    """Rows of +-1 spins -> rows of ceil(n/8) bytes; the padding bits are 0."""
-    return np.packbits(((np.asarray(spins) + 1) / 2).astype(np.uint8), axis=-1)
-
-
-def _check_batch_size(N: int) -> None:
-    if N > W2_BATCH_CAP:
-        raise ValueError(f"batch size {N} exceeds the cap {W2_BATCH_CAP}")
-
-
-def _unpack_spins(rows: np.ndarray, n: int) -> np.ndarray:
-    """Rows of ceil(n/8) bytes -> (rows, n) +-1 spins.  A set padding bit
-    means the row was written for a larger n, so it is an error.  A file
-    batch is read to be compared by `empirical_w2`, so more rows than
-    W2_BATCH_CAP are rejected before the (rows, n) decode."""
-    _check_batch_size(len(rows))
-    bits = np.unpackbits(rows, axis=1)
-    if bits[:, n:].any():
-        raise ValueError(f"a row sets a padding bit past n = {n}: it was written for a larger n")
-    return 2.0 * bits[:, :n].astype(float) - 1.0
-
-
-def write_batch_bits(path, batch: SampleBatch) -> None:
-    n = batch.spins.shape[1]
-    with open(path, "wb") as f:
-        f.write(int(n).to_bytes(4, "little"))
-        f.write(_pack_spins(batch.spins).tobytes())
-
-
-def read_batch_bits(path) -> SampleBatch:
-    """Read a batch file: a complete header, n >= 1, and one or more whole rows."""
-    with open(path, "rb") as f:
-        head = f.read(4)
-        raw = np.frombuffer(f.read(), dtype=np.uint8)
-    n = int.from_bytes(head, "little") if len(head) == 4 else 0
-    if n < 1:
-        raise ValueError("batch file header truncated or n = 0; it needs a u32 n >= 1")
-    row_bytes = (n + 7) // 8
-    if raw.size == 0 or raw.size % row_bytes:
-        raise ValueError(f"corrupt batch file: {raw.size} bytes are not whole rows of {row_bytes}")
-    return SampleBatch(spins=_unpack_spins(raw.reshape(-1, row_bytes), n))

@@ -25,13 +25,11 @@ from . import __version__, rng
 from .amp import amp_run
 from .baselines import (
     SampleBatch,
-    _pack_spins,
-    _unpack_spins,
+    _check_batch_size,
     empirical_w2,
     exact_gibbs,
     exact_sample,
     glauber_run,
-    read_batch_bits,
 )
 from .config import ConfigError, CONFIG_SCHEMA, dump_config, resolve_config
 from .disorder import (
@@ -78,11 +76,16 @@ def _csv(header: list[str], rows: list[list]) -> str:
 
 
 def _spins_to_hex(x: np.ndarray) -> str:
-    return _pack_spins(x).tobytes().hex()
+    """A +-1 vector as its `x_bits_hex` field: ceil(n/8) bytes of sign bits,
+    bit 1 for +1, most significant bit first, the padding bits past n 0."""
+    return np.packbits(x > 0).tobytes().hex()
 
 
 def _hex_to_spins(fields: list[str], n: int) -> np.ndarray:
-    """`x_bits_hex` fields, ceil(n/8) bytes each -> (len(fields), n) spins."""
+    """`x_bits_hex` fields -> (len(fields), n) spins.  The rows are read for
+    `empirical_w2`, so more than W2_BATCH_CAP are rejected before decoding.  A
+    set padding bit means the row was written for a larger n: an error."""
+    _check_batch_size(len(fields))
     row_bytes = (n + 7) // 8
     packed = bytearray()
     for h in fields:
@@ -90,7 +93,10 @@ def _hex_to_spins(fields: list[str], n: int) -> np.ndarray:
         if len(b) != row_bytes:  # fromhex skips spaces between bytes
             raise ValueError(f"x_bits_hex {h!r} is not {row_bytes} bytes, as n = {n} needs")
         packed += b
-    return _unpack_spins(np.frombuffer(packed, np.uint8).reshape(len(fields), row_bytes), n)
+    bits = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(len(fields), row_bytes), axis=1)
+    if bits[:, n:].any():
+        raise ValueError(f"a row sets a padding bit past n = {n}: it was written for a larger n")
+    return 2.0 * bits[:, :n] - 1.0
 
 
 def _spec(cfg: dict) -> MixtureSpec:
@@ -260,7 +266,7 @@ def _cmd_glauber(cfg: dict) -> None:
     _write_result(cfg.get("out"), _csv(["state", "x_bits_hex"], rows), cfg)
 
 
-def _read_batch_csv(path: str) -> SampleBatch:
+def _read_batch(path: str) -> SampleBatch:
     """The `x_bits_hex` column, decoded with the `n` of `<path>.config.json`;
     n and the row widths are checked before any decoding."""
     with open(path + ".config.json") as f:
@@ -274,14 +280,10 @@ def _read_batch_csv(path: str) -> SampleBatch:
     for i, row in enumerate(rows, start=1):
         if len(row) != len(header):
             raise ValueError(f"{path}: row {i} has {len(row)} fields, the header {len(header)}")
+    if "x_bits_hex" not in header:
+        raise ValueError(f"{path}: the header has no x_bits_hex column")
     col = header.index("x_bits_hex")
     return SampleBatch(spins=_hex_to_spins([row[col] for row in rows], n))
-
-
-def _read_batch(path: str) -> SampleBatch:
-    if path.endswith(".bits"):
-        return read_batch_bits(path)
-    return _read_batch_csv(path)
 
 
 def _cmd_w2(cfg: dict) -> None:
@@ -370,6 +372,13 @@ def _loads(text: str, source: str, hint: str = ""):
         raise ConfigError(f"{source}: malformed JSON ({e}){hint}") from None
 
 
+def _object(value, field: str) -> dict:
+    """A config file's top level or a `--set` section, which must be an object."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"config field '{field}': {value!r} is not of type 'object'")
+    return value
+
+
 def _apply_overrides(cfg: dict, args) -> dict:
     if args.mixture is not None:
         cfg["mixture"] = _loads(args.mixture, "--mixture")
@@ -383,7 +392,8 @@ def _apply_overrides(cfg: dict, args) -> dict:
         path, raw = item.split("=", 1)
         section, key = path.split(".", 1)
         hint = '; string values need JSON quotes, e.g. --set \'gen.mode="planted"\''
-        cfg.setdefault(section, {})[key] = _loads(raw, f"--set {item!r}", hint)
+        value = _loads(raw, f"--set {item!r}", hint)
+        _object(cfg.setdefault(section, {}), section)[key] = value
     return cfg
 
 
@@ -407,7 +417,7 @@ def _run(args) -> int:
         cfg = {}
         if args.config:
             with open(args.config) as f:
-                cfg = _loads(f.read(), f"--config {args.config!r}")
+                cfg = _object(_loads(f.read(), f"--config {args.config!r}"), "<root>")
         if "kind" in cfg and cfg["kind"] != args.kind:
             raise ConfigError(f"config field 'kind': {cfg['kind']!r} != subcommand {args.kind!r}")
         cfg["kind"] = args.kind

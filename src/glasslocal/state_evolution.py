@@ -66,7 +66,6 @@ class SEProfile:
 
     q_sequence: np.ndarray  # q_0 .. q_K
     q_star: float
-    gamma_star: float  # beta^2 xi'(q_star)
     converged: bool
 
 
@@ -116,8 +115,7 @@ def se_recursion(spec: MixtureSpec, beta: float, t: float, K: int) -> SEProfile:
             converged = True
             break
         q = q_next
-    gamma_star = beta * beta * float(spec.xi(q, order=1))
-    return SEProfile(q_sequence=qs, q_star=q, gamma_star=gamma_star, converged=converged)
+    return SEProfile(q_sequence=qs, q_star=q, converged=converged)
 
 
 def mse_prediction(profile: SEProfile, k: int) -> float:

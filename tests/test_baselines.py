@@ -372,83 +372,11 @@ class TestNonFiniteInput:
 
 
 class TestBatchBits:
-    def test_roundtrip(self, gen, tmp_path):
-        from glasslocal import read_batch_bits, write_batch_bits
-
-        spins = np.where(gen.uniform(size=(17, 11)) < 0.5, -1.0, 1.0)
-        path = tmp_path / "batch.bits"
-        write_batch_bits(path, SampleBatch(spins=spins))
-        back = read_batch_bits(path)
-        np.testing.assert_array_equal(back.spins, spins)
-        # u32 n header precedes the packed rows
-        raw = path.read_bytes()
-        assert int.from_bytes(raw[:4], "little") == 11
-        assert len(raw) == 4 + 17 * 2
-
-    @given(st.integers(1, 40), st.integers(1, 30), st.integers(0, 2**32 - 1))
-    @settings(max_examples=100, deadline=None)
-    @example(8, 1, 0)
-    @example(9, 3, 0)
-    def test_roundtrip_any_n(self, tmp_path_factory, n, M, seed):
-        from glasslocal import read_batch_bits, write_batch_bits
-
-        spins = _spins(np.random.default_rng(seed), M, n)
-        path = tmp_path_factory.mktemp("bits") / "b.bits"
-        write_batch_bits(path, SampleBatch(spins=spins))
-        assert path.stat().st_size == 4 + M * ((n + 7) // 8)
-        back = read_batch_bits(path)
-        np.testing.assert_array_equal(back.spins, spins, strict=True)
-
-    @pytest.mark.parametrize("n, row", [(6, 0b00000010), (6, 0b00000001), (9, 0b01000000)])
-    def test_set_padding_bit_rejected(self, tmp_path, n, row):
-        # a row written for a larger n: its bits past n are data, not padding
-        from glasslocal import read_batch_bits
-
-        path = tmp_path / "pad.bits"
-        path.write_bytes(n.to_bytes(4, "little") + bytes([0xFF] * (n // 8) + [row]))
-        with pytest.raises(ValueError, match=f"sets a padding bit past n = {n}"):
-            read_batch_bits(path)
-
     @pytest.mark.parametrize("shape", [(3, 0), (0, 0)])
     def test_batch_needs_a_column(self, shape):
         # at n = 0, empirical_w2 would divide by zero and overlap_moment give NaN
         with pytest.raises(ValueError, match="n >= 1 columns"):
             SampleBatch(spins=np.ones(shape))
-
-    def test_padding_is_zero(self):
-        from glasslocal.baselines import _pack_spins, _unpack_spins
-
-        rows = _pack_spins(np.ones((2, 6)))
-        assert rows.tolist() == [[0b11111100]] * 2
-        np.testing.assert_array_equal(_unpack_spins(rows, 6), np.ones((2, 6)))
-
-    def test_oversized_rejected_before_decoding(self, tmp_path):
-        # 3000 rows at n = 1000 are 375 KB on disk and 24 MB as float spins;
-        # the cap is checked first, so the read peaks near the file's size
-        import tracemalloc
-
-        from glasslocal import read_batch_bits
-        from glasslocal.baselines import W2_BATCH_CAP
-
-        M, n = W2_BATCH_CAP + 1000, 1000
-        path = tmp_path / "big.bits"
-        path.write_bytes(n.to_bytes(4, "little") + bytes(M * n // 8))
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match=f"batch size {M} exceeds the cap {W2_BATCH_CAP}"):
-                read_batch_bits(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * M * n // 8
-
-    def test_corrupt_rejected(self, tmp_path):
-        from glasslocal import read_batch_bits
-
-        path = tmp_path / "bad.bits"
-        path.write_bytes((9).to_bytes(4, "little") + b"\x01\x02\x03")
-        with pytest.raises(ValueError):
-            read_batch_bits(path)
 
 
 class TestOverlapMoment:

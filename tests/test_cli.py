@@ -18,6 +18,10 @@ def run_cli(*args):
     return main(list(args))
 
 
+# the header of an `exact` batch file
+HEX = "sample,x_bits_hex"
+
+
 def test_cli_import_loads_no_scipy(tmp_path):
     # the runtime is numpy only: neither the import nor w2 and chaos, the
     # commands that run empirical_w2, load scipy
@@ -27,14 +31,18 @@ def test_cli_import_loads_no_scipy(tmp_path):
 import os, sys
 import numpy as np
 import glasslocal.cli as cli
-from glasslocal.baselines import SampleBatch, write_batch_bits
 scipy_mods = lambda: [m for m in sys.modules if m.split('.')[0] == 'scipy']
 print(scipy_mods())
 os.chdir({str(tmp_path)!r})
 gen = np.random.default_rng(0)
-for name in ("a.bits", "b.bits"):
-    write_batch_bits(name, SampleBatch(np.where(gen.uniform(size=(12, 5)) < 0.5, -1.0, 1.0)))
-assert cli.main(["w2", "--set", 'w2.batch_a="a.bits"', "--set", 'w2.batch_b="b.bits"',
+for name in ("a.csv", "b.csv"):
+    spins = np.where(gen.uniform(size=(12, 5)) < 0.5, -1.0, 1.0)
+    rows = [f"{{i}},{{cli._spins_to_hex(x)}}" for i, x in enumerate(spins)]
+    with open(name, "w") as f:
+        f.write("\\n".join(["sample,x_bits_hex", *rows, ""]))
+    with open(name + ".config.json", "w") as f:
+        f.write('{{"n": 5}}')
+assert cli.main(["w2", "--set", 'w2.batch_a="a.csv"', "--set", 'w2.batch_b="b.csv"',
                  "--out", "w2.csv"]) == 0
 assert cli.main(["chaos", "--n", "4", "--beta", "0.5", "--set", "chaos.s_list=[0.0,0.5]",
                  "--set", "chaos.n_seeds=1", "--set", "chaos.batch_size=10",
@@ -56,6 +64,11 @@ def test_spin_hex_roundtrip(n, seed):
     h = _spins_to_hex(x)
     assert len(h) == 2 * ((n + 7) // 8)
     np.testing.assert_array_equal(_hex_to_spins([h], n)[0], x, strict=True)
+
+
+def test_padding_is_zero():
+    assert _spins_to_hex(np.ones(6)) == "fc"
+    np.testing.assert_array_equal(_hex_to_spins(["fc", "fc"], 6), np.ones((2, 6)), strict=True)
 
 
 class TestConfig:
@@ -230,29 +243,6 @@ class TestSubcommands:
         assert err.startswith("config error: " + named.replace("CONFIG", str(path)))
         assert "malformed JSON" in err
         assert ("JSON quotes" in err) == (flags[0] == "--set")
-
-    @pytest.mark.parametrize(
-        "raw, match",
-        [
-            ((10).to_bytes(4, "little"), "corrupt batch file"),
-            (b"\x0a", "header truncated"),
-            ((0).to_bytes(4, "little") + b"\x01", "n = 0"),
-            ((6).to_bytes(4, "little") + b"\xff", "sets a padding bit past n = 6"),
-        ],
-        ids=["header-only", "one-byte", "n-zero", "padding-bit"],
-    )
-    def test_bad_bits_file_reported(self, tmp_path, capsys, raw, match):
-        path = tmp_path / "bad.bits"
-        path.write_bytes(raw)
-        out = tmp_path / "w2.csv"
-        code = run_cli(
-            "w2", "--set", f'w2.batch_a="{path}"', "--set", f'w2.batch_b="{path}"',
-            "--out", str(out),
-        )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error [ValueError]") and match in err
-        assert not out.exists()
 
     def test_gen_disorder_roundtrip(self, tmp_path):
         out = tmp_path / "g.gltn"
@@ -507,30 +497,15 @@ class TestDeterminism:
         assert traj.size == 5 * 7 * 8
         assert np.all(traj.reshape(5, 7, 8)[:, 0, :] == 0.0)  # y_0 = 0
 
-    def test_w2_accepts_bits_files(self, tmp_path):
-        from glasslocal.baselines import SampleBatch, write_batch_bits
-
-        gen = np.random.default_rng(3)
-        spins = np.where(gen.uniform(size=(10, 6)) < 0.5, -1.0, 1.0)
-        path = tmp_path / "b.bits"
-        write_batch_bits(path, SampleBatch(spins=spins))
-        out = tmp_path / "w2b.csv"
-        code = run_cli(
-            "w2", "--set", f'w2.batch_a="{path}"', "--set", f'w2.batch_b="{path}"',
-            "--out", str(out),
-        )
-        assert code == 0
-        assert float(out.read_text().strip().split("\n")[1]) == 0.0
-
     def test_w2_unequal_dimension_reported(self, tmp_path, capsys):
-        from glasslocal.baselines import SampleBatch, write_batch_bits
-
-        for name, n in (("a.bits", 6), ("b.bits", 9)):
-            write_batch_bits(tmp_path / name, SampleBatch(spins=np.ones((4, n))))
+        for name, n in (("a.csv", 6), ("b.csv", 9)):
+            rows = "".join(f"{i},{_spins_to_hex(np.ones(n))}\n" for i in range(4))
+            (tmp_path / name).write_text(HEX + "\n" + rows)
+            (tmp_path / f"{name}.config.json").write_text(json.dumps({"n": n}))
         out = tmp_path / "w2.csv"
         code = run_cli(
-            "w2", "--set", f'w2.batch_a="{tmp_path / "a.bits"}"',
-            "--set", f'w2.batch_b="{tmp_path / "b.bits"}"', "--out", str(out),
+            "w2", "--set", f'w2.batch_a="{tmp_path / "a.csv"}"',
+            "--set", f'w2.batch_b="{tmp_path / "b.csv"}"', "--out", str(out),
         )
         assert code == 1
         err = capsys.readouterr().err
@@ -538,27 +513,30 @@ class TestDeterminism:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "echo, rows, match",
+        "header, echo, rows, match",
         [
-            ({"n": 12}, "", "batches must be nonempty"),
-            ({"n": 12}, "0,94\n1,ff\n", "x_bits_hex '94' is not 2 bytes, as n = 12 needs"),
-            ({"n": 12}, "0,94a0b1\n", "x_bits_hex '94a0b1' is not 2 bytes, as n = 12 needs"),
-            ({"n": 20}, "0, 94 a0\n", "x_bits_hex ' 94 a0' is not 3 bytes, as n = 20 needs"),
-            ({"n": 6}, "0,fc\n1\n", "row 2 has 1 fields, the header 2"),
-            ({"kind": "exact"}, "0,fc\n", "n must be an integer >= 1, not None"),
-            ({"n": "6"}, "0,fc\n", "n must be an integer >= 1, not '6'"),
-            ({"n": 6.0}, "0,fc\n", "n must be an integer >= 1, not 6.0"),
-            ({"n": True}, "0,80\n", "n must be an integer >= 1, not True"),
-            ({"n": 0}, "0,\n1,\n", "n must be an integer >= 1, not 0"),
-            ([6], "0,fc\n", "n must be an integer >= 1, not None"),
-            ({"n": 6}, "0,fc\n1,ff\n", "sets a padding bit past n = 6"),
+            (HEX, {"n": 12}, "", "batches must be nonempty"),
+            (HEX, {"n": 12}, "0,94\n1,ff\n", "x_bits_hex '94' is not 2 bytes, as n = 12 needs"),
+            (HEX, {"n": 12}, "0,94a0b1\n",
+             "x_bits_hex '94a0b1' is not 2 bytes, as n = 12 needs"),
+            (HEX, {"n": 20}, "0, 94 a0\n",
+             "x_bits_hex ' 94 a0' is not 3 bytes, as n = 20 needs"),
+            (HEX, {"n": 6}, "0,fc\n1\n", "row 2 has 1 fields, the header 2"),
+            (HEX, {"kind": "exact"}, "0,fc\n", "n must be an integer >= 1, not None"),
+            (HEX, {"n": "6"}, "0,fc\n", "n must be an integer >= 1, not '6'"),
+            (HEX, {"n": 6.0}, "0,fc\n", "n must be an integer >= 1, not 6.0"),
+            (HEX, {"n": True}, "0,80\n", "n must be an integer >= 1, not True"),
+            (HEX, {"n": 0}, "0,\n1,\n", "n must be an integer >= 1, not 0"),
+            (HEX, [6], "0,fc\n", "n must be an integer >= 1, not None"),
+            (HEX, {"n": 6}, "0,fc\n1,ff\n", "sets a padding bit past n = 6"),
+            ("sample,x_bits", {"n": 6}, "0,fc\n", "e.csv: the header has no x_bits_hex column"),
         ],
-        ids=["empty", "short-rows", "long-row", "spaced-bytes", "missing-field",
-             "no-n", "n-str", "n-float", "n-bool", "n-zero", "echo-not-object", "padding-bit"],
+        ids=["empty", "short-rows", "long-row", "spaced-bytes", "missing-field", "no-n", "n-str",
+             "n-float", "n-bool", "n-zero", "echo-not-object", "padding-bit", "no-column"],
     )
-    def test_w2_bad_batch_csv_reported(self, tmp_path, capsys, echo, rows, match):
+    def test_w2_bad_batch_csv_reported(self, tmp_path, capsys, header, echo, rows, match):
         # a hand-edited `exact` output: n and the rows are checked before decoding
-        (tmp_path / "e.csv").write_text("sample,x_bits_hex\n" + rows)
+        (tmp_path / "e.csv").write_text(header + "\n" + rows)
         (tmp_path / "e.csv.config.json").write_text(json.dumps(echo))
         out = tmp_path / "w2.csv"
         code = run_cli(
@@ -623,6 +601,27 @@ def _run_fresh(tmp_path, *args):
     code = "import sys; from glasslocal.cli import main; sys.exit(main(sys.argv[1:]))"
     argv = [sys.executable, "-c", code, *args, "--out", "r.out"]
     return subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize(
+    "config, args, named",
+    [
+        (None, ["sample", "--n", "5", "--set", "n.x=1"], "'n': 5"),
+        ([1, 2], ["sample", "--config", "c.json"], "'<root>': [1, 2]"),
+        (None, ["thresholds", "--mixture", "[1]", "--set", "mixture.2=0.5"], "'mixture': [1]"),
+        ({"kind": "sample", "sampler": 5}, ["sample", "--config", "c.json", "--set", "sampler.L=3"],
+         "'sampler': 5"),
+    ],
+    ids=["scalar-section", "config-array", "mixture-array", "config-scalar-section"],
+)
+def test_non_object_config_named(tmp_path, config, args, named):
+    # a config file's top level and each --set section must be objects
+    if config is not None:
+        (tmp_path / "c.json").write_text(json.dumps(config))
+    out = _run_fresh(tmp_path, *args)
+    assert out.returncode == 2
+    assert out.stderr.startswith("config error: ") and "Traceback" not in out.stderr
+    assert f"config field {named} is not of type 'object'" in out.stderr
 
 
 @pytest.mark.parametrize("args", [["thresholds"], ["se", "--beta", "0.2"]], ids=["th", "se"])

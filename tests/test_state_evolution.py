@@ -49,10 +49,12 @@ class TestRecursion:
         assert np.all(np.diff(q) >= 0)
         assert np.all(q <= prof.q_star + 1e-12)
 
-    def test_gamma_star_consistency(self, sk):
+    def test_q_star_is_fixed_point(self, sk):
+        # q_star = psi(beta^2 xi'(q_star) + t), with xi'(q) = q for SK
         prof = se_recursion(sk, 0.5, 1.0, K=2)
-        assert prof.gamma_star == pytest.approx(0.25 * prof.q_star, abs=1e-12)
-        assert abs(prof.q_star - psi(prof.gamma_star + 1.0)) <= 1e-10
+        gamma = 0.5**2 * float(sk.xi(prof.q_star, order=1))
+        assert gamma == pytest.approx(0.25 * prof.q_star, abs=1e-12)
+        assert abs(prof.q_star - psi(gamma + 1.0)) <= 1e-10
 
     def test_mse_prediction(self, sk):
         prof = se_recursion(sk, 0.5, 1.0, K=8)
