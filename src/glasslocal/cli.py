@@ -137,8 +137,10 @@ def _tilt(cfg: dict, n: int, t: float, x: np.ndarray | None) -> np.ndarray:
 
 
 def _sampler_params(cfg: dict) -> SamplerParams:
-    """Every `sampler` key except `replicas` is a SamplerParams field."""
+    """Every `sampler` key except `replicas` is a SamplerParams field.  Only a
+    `sample` run with an `out` writes, so keeps, a trajectory."""
     sp = {k: v for k, v in cfg["sampler"].items() if k != "replicas"}
+    sp["keep_trajectory"] &= cfg["kind"] == "sample" and bool(cfg.get("out"))
     return SamplerParams(beta=cfg["beta"], seed=cfg["seed"], **sp)
 
 
@@ -172,20 +174,12 @@ def _cmd_se(cfg: dict) -> None:
 
 
 def _cmd_amp(cfg: dict) -> None:
-    beta, t, K = cfg["beta"], cfg["amp"]["t"], cfg["amp"]["k"]
-    if cfg["amp"]["planted"]:
-        if cfg.get("tensor_file"):
-            msg = "a tensor file does not store the planted x, so the MSE is undefined"
-            raise ConfigError(f"config field 'amp/planted': {msg}; set amp.planted=false")
-        if cfg["gen"]["mode"] == "planted":
-            msg = "amp plants its own instance at beta and would ignore gen.mode=\"planted\""
-            raise ConfigError(
-                f"config field 'amp/planted': {msg}; set amp.planted=false to plant through gen"
-            )
-        spec = MixtureSpec.from_dict(cfg["mixture"])
-        g = gen_planted(spec, cfg["n"], beta, _planted_x(cfg), cfg["seed"])
-    else:
-        g = _load_tensors(cfg)
+    beta, t, K, planted = cfg["beta"], cfg["amp"]["t"], cfg["amp"]["k"], cfg["amp"]["planted"]
+    if planted and (cfg.get("tensor_file") or cfg["gen"]["mode"] == "planted"):
+        msg = 'amp plants its own instance at beta, not a tensor file or gen.mode="planted"'
+        raise ConfigError(f"config field 'amp/planted': {msg}; set amp.planted=false to use those")
+    # planted at beta through a copy of the config: the echo keeps the user's gen
+    g = _load_tensors({**cfg, "gen": {"mode": "planted", "planted_beta": beta}} if planted else cfg)
     x = g.meta.get("x")  # only a planted instance has one
     traj = amp_run(g, _tilt(cfg, g.n, t, x), beta, K + 1, keep_history=True)
     prof = se_recursion(g.spec, beta, t, K=K + 2)
@@ -229,22 +223,21 @@ def _cmd_sample(cfg: dict) -> None:
     params = _sampler_params(cfg)
     n_rep = cfg["sampler"]["replicas"]
     q_values = q_schedule(g.spec, params.beta, params.delta, params.L)
-    rows = []
-    traj_parts = []
+    rows, trajs = [], []
     for lo in range(0, n_rep, REPLICA_CHUNK):
         k = min(REPLICA_CHUNK, n_rep - lo)
         res = sample(g, params, n_replicas=k, q_values=q_values, replica_start=lo)
         for i, x in enumerate(res.x_alg):
             row = [lo + i, cfg["seed"], res.final_q[i], res.grad_norm_last[i], _spins_to_hex(x)]
             rows.append(row)
-        if params.keep_trajectory:
-            traj_parts.append(res.y_trajectory)
+        trajs.append(res.y_trajectory)  # (L+1, k, n), or None
     header = ["replica", "seed", "final_q", "grad_norm_last", "x_bits_hex"]
     _write_result(cfg.get("out"), _csv(header, rows), cfg)
-    if params.keep_trajectory and cfg.get("out"):
-        traj = np.concatenate(traj_parts, axis=1)  # (L+1, replicas, n)
+    if params.keep_trajectory:
         with open(cfg["out"] + ".traj.bin", "wb") as f:
-            f.write(np.ascontiguousarray(traj.transpose(1, 0, 2), dtype="<f8").tobytes())
+            for traj in trajs:  # one (L+1, n) record per replica
+                for y in traj.transpose(1, 0, 2):
+                    f.write(np.ascontiguousarray(y, dtype="<f8"))
 
 
 def _cmd_exact(cfg: dict) -> None:

@@ -85,17 +85,9 @@ class SampleRun:
     step_grad_norms: np.ndarray | None = None
 
 
-def _estimate(
-    g: DisorderTensors,
-    y: np.ndarray,
-    beta: float,
-    q: float,
-    k_amp: int,
-    k_ngd: int,
-    eta: float,
-    gamma: float,
-) -> TapIterate:
-    """Two-stage mean of the tilted measure: message passing, then NGD.
+def _estimate(g: DisorderTensors, y: np.ndarray, q: float, params: SamplerParams) -> TapIterate:
+    """Two-stage mean of the tilted measure: message passing, then NGD, with
+    the run's `beta`, `k_amp`, `k_ngd`, `eta` and `gamma`.
 
     AMP starts from zero and the natural-parameter handoff is u^0 = z^{k_amp}
     directly.  NGD runs at most k_ngd steps per row with Barzilai-Borwein
@@ -103,9 +95,11 @@ def _estimate(
     Returns the final NGD iterate, whose `m` is the estimate and whose
     `grad_norm` is ||grad F(m)||.
     """
-    final = amp_run(g, y, beta, k_amp, keep_history=False)[-1]
-    params = TapParams(beta=beta, q=q, gamma_reg=gamma, y=np.asarray(y, dtype=float))
-    return ngd_run(g, final.z, params, eta, k_ngd, keep_history=False, tol=NGD_TOL, bb=True)[-1]
+    final = amp_run(g, y, params.beta, params.k_amp, keep_history=False)[-1]
+    tap = TapParams(beta=params.beta, q=q, gamma_reg=params.gamma, y=y)
+    return ngd_run(
+        g, final.z, tap, params.eta, params.k_ngd, keep_history=False, tol=NGD_TOL, bb=True
+    )[-1]
 
 
 def mean_estimate(
@@ -120,7 +114,8 @@ def mean_estimate(
 ):
     """Final magnetization of the two-stage estimator, after at most k_ngd
     NGD steps; accepts y as a vector or a batch."""
-    return _estimate(g, y, beta, q, k_amp, k_ngd, eta, gamma).m
+    params = SamplerParams(beta=beta, k_amp=k_amp, k_ngd=k_ngd, eta=eta, gamma=gamma)
+    return _estimate(g, y, q, params).m
 
 
 def round_spins(m: np.ndarray, generator: np.random.Generator) -> np.ndarray:
@@ -178,7 +173,7 @@ def sample(
             # Y = 0 and grad H(0) = 0 for p >= 2, so AMP stays at m = 0 and NGD
             # starts at a stationary point of F: the estimate is exactly 0
             return np.zeros_like(Y)
-        it = _estimate(g, Y, params.beta, q, params.k_amp, params.k_ngd, params.eta, params.gamma)
+        it = _estimate(g, Y, q, params)
         step_gnorms[ell] = it.grad_norm
         return it.m
 

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import glasslocal
+from glasslocal import cli, experiments
 from glasslocal.cli import _HANDLERS, _hex_to_spins, _spins_to_hex, main
 from glasslocal.config import CONFIG_SCHEMA, KINDS, resolve_config, ConfigError
 from glasslocal.disorder import gen_random, hamiltonian, read_tensors, write_tensors
@@ -224,6 +226,19 @@ class TestSubcommands:
         assert lines[0].split(",")[2:4] == ["mse_empirical", "mse_predicted"]
         for line in lines[1:]:
             assert np.all(np.isfinite([float(v) for v in line.split(",")[2:4]]))
+
+    def test_amp_plants_as_gen_does(self, tmp_path):
+        # amp.planted plants at beta as gen.mode="planted" would; each echo
+        # keeps its own amp and gen sections
+        flags = ["--n", "60", "--beta", "0.4", "--seed", "1", "--set", "amp.k=3"]
+        via_gen = ["--set", "amp.planted=false", "--set", 'gen.mode="planted"',
+                   "--set", "gen.planted_beta=0.4"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli("amp", *flags, "--out", str(a)) == 0
+        assert run_cli("amp", *flags, *via_gen, "--out", str(b)) == 0
+        assert a.read_bytes() == b.read_bytes()
+        echo = json.loads((tmp_path / "a.csv.config.json").read_text())
+        assert echo["gen"] == {"mode": "random", "planted_beta": 0.0}
 
     @pytest.mark.parametrize(
         "flags, named",
@@ -496,6 +511,58 @@ class TestDeterminism:
         # replicas x (L+1) x n doubles
         assert traj.size == 5 * 7 * 8
         assert np.all(traj.reshape(5, 7, 8)[:, 0, :] == 0.0)  # y_0 = 0
+
+    def test_trajectory_held_once(self, tmp_path):
+        # the file is written from the chunks `sample` returned, one replica
+        # at a time: no concatenated, transposed or bytes copy of the run
+        n, L, reps = 200, 50, 64
+        args = ["sample", "--n", str(n), "--beta", "0.25", "--seed", "1",
+                "--set", f"sampler.L={L}", "--set", f"sampler.replicas={reps}",
+                "--out", str(tmp_path / "m.csv")]
+        peaks = []
+        for keep in ("false", "true"):
+            tracemalloc.start()
+            try:
+                assert run_cli(*args, "--set", f"sampler.keep_trajectory={keep}") == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        traj_bytes = reps * (L + 1) * n * 8
+        assert (tmp_path / "m.csv.traj.bin").stat().st_size == traj_bytes
+        assert peaks[1] - peaks[0] < 2 * traj_bytes
+
+    def test_sample_keeps_trajectory_only_with_out(self, tmp_path, monkeypatch):
+        kept = []
+
+        def spy(g, params, **kwargs):
+            kept.append(params.keep_trajectory)
+            return sample(g, params, **kwargs)
+
+        sample = cli.sample
+        monkeypatch.setattr(cli, "sample", spy)
+        args = [*self.SAMPLE_ARGS, "--set", "sampler.keep_trajectory=true"]
+        assert run_cli(*args) == 0
+        assert kept == [False]  # stdout gets the CSV and no trajectory
+        assert run_cli(*args, "--out", str(tmp_path / "t.csv")) == 0
+        assert kept == [False, True]
+
+    def test_stability_keeps_no_trajectory(self, tmp_path, monkeypatch):
+        kept = []
+
+        def spy(g, params, **kwargs):
+            kept.append(params.keep_trajectory)
+            return sample(g, params, **kwargs)
+
+        sample = experiments.sample
+        monkeypatch.setattr(experiments, "sample", spy)
+        code = run_cli(
+            "stability", "--n", "6", "--beta", "0.2", "--set", "stability.s_list=[0.5]",
+            "--set", "stability.n_seeds=1", "--set", "stability.replicas=2",
+            "--set", "sampler.L=3", "--set", "sampler.keep_trajectory=true",
+            "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == 0
+        assert kept == [False, False]
 
     def test_w2_unequal_dimension_reported(self, tmp_path, capsys):
         for name, n in (("a.csv", 6), ("b.csv", 9)):

@@ -61,6 +61,10 @@ def test_invocations_cover_every_subcommand():
     # AMP's z past |z| = 40, in `amp` at t = 60 and in `sample` to T = 40
     assert kinds["amp-t60"][0] == "amp" and "amp.t=60" in kinds["amp-t60"]
     assert kinds["sample-T40"][0] == "sample" and "sampler.L=800" in kinds["sample-T40"]
+    # a trajectory file written from two replica chunks
+    traj = kinds["sample-traj"]
+    assert traj[0] == "sample" and "sampler.keep_trajectory=true" in traj
+    assert "sampler.replicas=66" in traj
     # a --set into a section that holds a number is a config error, not a traceback
     assert kinds["config-scalar-section"] == ["sample", "--n", "5", "--set", "n.x=1"]
 

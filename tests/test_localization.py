@@ -241,7 +241,7 @@ class TestZeroTiltStep:
         g = gen_random(MixtureSpec(coeffs), n, seed=2)
         q = float(q_schedule(g.spec, beta, 0.5, 3)[ell])
         assert (q > 0.0) == (ell > 0)
-        it = localization._estimate(g, np.zeros((rows, n)), beta, q, **self.KNOBS)
+        it = localization._estimate(g, np.zeros((rows, n)), q, SamplerParams(beta=beta, **self.KNOBS))
         np.testing.assert_array_equal(it.m, np.zeros((rows, n)))
         np.testing.assert_array_equal(it.grad_norm, np.zeros(rows))
 

@@ -21,10 +21,12 @@ mixture, whose runs share one q schedule.  One more runs `amp` with
 `amp.planted=false` on an SK instance planted through `gen`, and `tap-n600`
 runs `tap` with its default spectrum on SK at n = 600.  Two drive AMP's z
 past |z| = 40: `amp-t60` runs `amp` at t = 60, and `sample-T40` runs
-`sample` to T = 40 (L = 800).  `config-scalar-section` runs `sample --n 5
---set n.x=1`, a `--set` into a section that holds a number, which must end
-in a named config error.  Every file the runs
-leave is compared: results, `<out>.config.json` echoes, and LABEL.log,
+`sample` to T = 40 (L = 800).  `sample-traj` runs `sample` on the mixture
+at n = 7 with `sampler.keep_trajectory=true` and 66 replicas, two replica
+chunks, so the trajectory writer's `<out>.traj.bin` is compared too.
+`config-scalar-section` runs `sample --n 5 --set n.x=1`, a `--set` into a
+section that holds a number, which must end in a named config error.  Every
+file the runs leave is compared: results, `<out>.config.json` echoes, and LABEL.log,
 which holds each run's exit code and stderr.  Each is reported as
 identical or moved, with the first line that differs.  The exit status is
 0 when every file is identical and 1 otherwise.
@@ -67,6 +69,12 @@ INVOCATIONS = [
     ("sample-T40", [
         "sample", "--n", "10", "--beta", "0.25", "--seed", "3",
         "--set", "sampler.L=800", "--set", "sampler.replicas=4",
+    ]),
+    ("sample-traj", [
+        "sample", "--mixture", '{"2": 0.5, "3": 0.7, "4": 0.2}', "--n", "7", "--beta", "0.4",
+        "--seed", "3", "--set", "sampler.L=2", "--set", "sampler.delta=0.25",
+        "--set", "sampler.k_amp=3", "--set", "sampler.k_ngd=4", "--set", "sampler.eta=0.6",
+        "--set", "sampler.keep_trajectory=true", "--set", "sampler.replicas=66",
     ]),
     ("config-scalar-section", ["sample", "--n", "5", "--set", "n.x=1"]),
     ("exact", ["exact", "--n", "6", "--beta", "0.2", "--seed", "4", "--set", "exact.m_samples=20"]),
