@@ -13,6 +13,7 @@ from glasslocal import cli, experiments
 from glasslocal.cli import _HANDLERS, _hex_to_spins, _spins_to_hex, main
 from glasslocal.config import CONFIG_SCHEMA, KINDS, resolve_config, ConfigError
 from glasslocal.disorder import gen_random, hamiltonian, read_tensors, write_tensors
+from glasslocal.localization import SamplerParams, sample
 from glasslocal.mixture import MixtureSpec
 
 
@@ -511,6 +512,11 @@ class TestDeterminism:
         # replicas x (L+1) x n doubles
         assert traj.size == 5 * 7 * 8
         assert np.all(traj.reshape(5, 7, 8)[:, 0, :] == 0.0)  # y_0 = 0
+        # replica-major: each replica's L+1 observations, as `sample` made them
+        p = SamplerParams(beta=0.25, delta=0.25, L=6, k_amp=6, k_ngd=10, seed=11,
+                          keep_trajectory=True)
+        run = sample(gen_random(MixtureSpec(((2, 0.5),)), 8, 11), p, n_replicas=5)
+        np.testing.assert_array_equal(traj.reshape(5, 7, 8), run.y_trajectory.transpose(1, 0, 2))
 
     def test_trajectory_held_once(self, tmp_path):
         # the file is written from the chunks `sample` returned, one replica
@@ -531,15 +537,20 @@ class TestDeterminism:
         assert (tmp_path / "m.csv.traj.bin").stat().st_size == traj_bytes
         assert peaks[1] - peaks[0] < 2 * traj_bytes
 
-    def test_sample_keeps_trajectory_only_with_out(self, tmp_path, monkeypatch):
-        kept = []
+    @staticmethod
+    def _record_keep_trajectory(monkeypatch, module) -> list:
+        """Patch `module.sample` to record each call's `params.keep_trajectory`."""
+        kept, real = [], module.sample
 
         def spy(g, params, **kwargs):
             kept.append(params.keep_trajectory)
-            return sample(g, params, **kwargs)
+            return real(g, params, **kwargs)
 
-        sample = cli.sample
-        monkeypatch.setattr(cli, "sample", spy)
+        monkeypatch.setattr(module, "sample", spy)
+        return kept
+
+    def test_sample_keeps_trajectory_only_with_out(self, tmp_path, monkeypatch):
+        kept = self._record_keep_trajectory(monkeypatch, cli)
         args = [*self.SAMPLE_ARGS, "--set", "sampler.keep_trajectory=true"]
         assert run_cli(*args) == 0
         assert kept == [False]  # stdout gets the CSV and no trajectory
@@ -547,14 +558,7 @@ class TestDeterminism:
         assert kept == [False, True]
 
     def test_stability_keeps_no_trajectory(self, tmp_path, monkeypatch):
-        kept = []
-
-        def spy(g, params, **kwargs):
-            kept.append(params.keep_trajectory)
-            return sample(g, params, **kwargs)
-
-        sample = experiments.sample
-        monkeypatch.setattr(experiments, "sample", spy)
+        kept = self._record_keep_trajectory(monkeypatch, experiments)
         code = run_cli(
             "stability", "--n", "6", "--beta", "0.2", "--set", "stability.s_list=[0.5]",
             "--set", "stability.n_seeds=1", "--set", "stability.replicas=2",
